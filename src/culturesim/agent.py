@@ -153,9 +153,18 @@ def adopt_if_fitter(
 
 
 def adopt(agent: Agent, chain: ActionChain, fit: float) -> None:
+    """Take over ``chain`` and train the network on its final step.
+
+    The network is read only through the invention bias.  An agent with
+    p(C) = 0 never invents again (fixed roles never change p, and the SR
+    update keeps 0 at 0), and without trend learning the bias is a
+    constant, so in either case training could not change any output and
+    is skipped.
+    """
     agent.chain = chain
     agent.fitness = fit
-    agent.net.train(chain[-1])
+    if agent.p_create != 0.0 and agent.net.trend_learning:
+        agent.net.train(chain[-1])
 
 
 def update_p_create(agent: Agent, mean_fitness_prev: float) -> None:

@@ -30,6 +30,7 @@ from .world import (
     REGIME_SINGLE_STEP,
     REGIME_TEMPLATE,
     WorldConfig,
+    check_field_types,
     run_world,
 )
 
@@ -56,6 +57,7 @@ class ExperimentSpec:
     output_dir: str = "out"
 
     def validate(self) -> "ExperimentSpec":
+        check_field_types(self)
         if self.preset not in PRESETS:
             raise ConfigError(f"preset must be one of {PRESETS}, got {self.preset!r}")
         if self.runs_per_cell < 1:
@@ -112,7 +114,7 @@ def load_config(path: str) -> ExperimentSpec:
         raise ConfigError(f"unknown world config keys: {sorted(unknown)}")
 
     for key in ("grid_c", "grid_p"):
-        if key in raw:
+        if isinstance(raw.get(key), list):
             raw[key] = tuple(raw[key])
     try:
         world = WorldConfig(**world_raw)

@@ -13,11 +13,12 @@ training loop sits on the simulation's hot path.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from typing import Dict, List, Tuple
 
-from .actions import BodyPart, NUM_PARTS, SubAction
+from .actions import NUM_PARTS, SubAction
 
 BETA = 0.15
 THETA = 0.5
@@ -63,6 +64,27 @@ def decode_activation(a: float) -> int:
     return 0
 
 
+def hidden_activations(decoded: SubAction) -> Dict[str, float]:
+    """Hidden-node activations for a decoded output pattern."""
+    hidden = {}
+    for row, name in zip(FIXED_HIDDEN_WEIGHTS, HIDDEN_NODES):
+        if name == "MOVEMENT":
+            net = sum(w * abs(v) for w, v in zip(row, decoded))
+        else:
+            net = sum(w * v for w, v in zip(row, decoded))
+        hidden[name] = sigmoid(net)
+    return hidden
+
+
+@functools.cache
+def _bias_of(decoded: SubAction) -> Tuple[float, float]:
+    """(movement, symmetry) bias of a decoded pattern.  The hidden layer
+    reads only the decoded trits, so this is a table of at most 729
+    entries, filled as patterns first occur."""
+    hidden = hidden_activations(decoded)
+    return hidden["MOVEMENT"], hidden["SYMMETRY"]
+
+
 class AutoAssociator:
     """Fixed-topology auto-associator trained with the generalized delta rule."""
 
@@ -70,11 +92,9 @@ class AutoAssociator:
         "weights",
         "trend_learning",
         "converged",
-        "hidden",
         "output_activations",
         "decoded",
-        "_movement_bias",
-        "_symmetry_bias",
+        "_bias",
     )
 
     def __init__(self, rng: random.Random, trend_learning: bool = True):
@@ -84,12 +104,14 @@ class AutoAssociator:
         ]
         self.trend_learning = trend_learning
         self.converged = True
-        base = sigmoid(0.0)
-        self.hidden: Dict[str, float] = {name: base for name in HIDDEN_NODES}
-        self.output_activations: List[float] = [base] * NUM_PARTS
+        self.output_activations: List[float] = [sigmoid(0.0)] * NUM_PARTS
         self.decoded: SubAction = (0,) * NUM_PARTS
-        self._movement_bias = base
-        self._symmetry_bias = base
+        self._bias = _bias_of(self.decoded)
+
+    @property
+    def hidden(self) -> Dict[str, float]:
+        """Hidden activations, which read the decoded output pattern."""
+        return hidden_activations(self.decoded)
 
     def _forward(self, x: SubAction) -> List[float]:
         w = self.weights
@@ -103,6 +125,11 @@ class AutoAssociator:
             out.append(1.0 / (1.0 + math.exp(-BETA * net)))
         return out
 
+    def _set_output(self, out: List[float]) -> None:
+        self.output_activations = out
+        self.decoded = tuple(decode_activation(a) for a in out)
+        self._bias = _bias_of(self.decoded)
+
     def activate(self, sub: SubAction) -> List[float]:
         """Run the pattern through the network and refresh hidden activations.
 
@@ -111,19 +138,7 @@ class AutoAssociator:
         than about the raw stimulus.
         """
         out = self._forward(sub)
-        self.output_activations = out
-        decoded = tuple(decode_activation(a) for a in out)
-        self.decoded = decoded
-        hidden = {}
-        for row, name in zip(FIXED_HIDDEN_WEIGHTS, HIDDEN_NODES):
-            if name == "MOVEMENT":
-                net = sum(w * abs(v) for w, v in zip(row, decoded))
-            else:
-                net = sum(w * v for w, v in zip(row, decoded))
-            hidden[name] = sigmoid(net)
-        self.hidden = hidden
-        self._movement_bias = hidden["MOVEMENT"]
-        self._symmetry_bias = hidden["SYMMETRY"]
+        self._set_output(out)
         return out
 
     def train(self, sub: SubAction) -> bool:
@@ -132,36 +147,45 @@ class AutoAssociator:
         Runs the delta rule for at most MAX_EPOCHS epochs or until every
         output is within CONVERGENCE_TOL of its target.  Non-convergence is
         reported, not fatal: the agent's explicit action stays the ground
-        truth and the network only biases invention.
+        truth and the network only biases invention.  Afterwards the
+        network is left as ``activate(sub)`` would leave it: the last
+        forward pass ran on the final weights, so its output is reused.
         """
         targets = [TARGET_ACTIVATION[v] for v in sub]
-        active = [i for i in range(NUM_PARTS) if sub[i]]
-        w = self.weights
+        # Neutral inputs add nothing to a net input and receive no update,
+        # so only the active rows are visited, in index order as _forward
+        # visits them, which keeps every sum bit-identical.
+        rows = [(sub[i], self.weights[i]) for i in range(NUM_PARTS) if sub[i]]
         converged = False
-        for _ in range(MAX_EPOCHS):
-            out = self._forward(sub)
-            worst = 0.0
-            deltas = []
+        # MAX_EPOCHS updates, each after a forward pass, plus one final
+        # forward pass to judge the last update.
+        for epoch in range(MAX_EPOCHS + 1):
+            out = []
             for j in range(NUM_PARTS):
-                err = targets[j] - out[j]
+                net = THETA
+                for xi, wi in rows:
+                    net += xi * wi[j]
+                out.append(1.0 / (1.0 + math.exp(-BETA * net)))
+            worst = 0.0
+            for t, o in zip(targets, out):
+                err = t - o
                 if err > worst:
                     worst = err
                 elif -err > worst:
                     worst = -err
-                deltas.append(LEARNING_RATE * err * out[j] * (1.0 - out[j]))
             if worst < CONVERGENCE_TOL:
                 converged = True
                 break
-            for i in active:
-                xi = sub[i]
-                wi = w[i]
+            if epoch == MAX_EPOCHS:
+                break
+            deltas = [
+                LEARNING_RATE * (t - o) * o * (1.0 - o) for t, o in zip(targets, out)
+            ]
+            for xi, wi in rows:
                 for j in range(NUM_PARTS):
                     wi[j] += xi * deltas[j]
-        else:
-            out = self._forward(sub)
-            converged = max(abs(t - o) for t, o in zip(targets, out)) < CONVERGENCE_TOL
         self.converged = converged
-        self.activate(sub)
+        self._set_output(out)
         return converged
 
     def recall(self, sub: SubAction) -> SubAction:
@@ -172,4 +196,4 @@ class AutoAssociator:
         """(movement_bias, symmetry_bias) in [0, 1] from the last activation."""
         if not self.trend_learning:
             return 0.5, 0.5
-        return self._movement_bias, self._symmetry_bias
+        return self._bias

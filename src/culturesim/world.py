@@ -6,11 +6,11 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, fields
 from typing import Callable, Dict, List, Optional, Tuple
 
 from . import agent as agent_ops
-from .actions import ActionChain, NEUTRAL, SubAction
+from .actions import ActionChain, NEUTRAL, SubAction, all_subactions
 from .agent import Agent, CREATE
 from .analysis import RunSeries, p_create_histogram
 from .fitness import TemplateSet, fitness_single
@@ -26,6 +26,36 @@ INITIAL_P_CREATE = 0.5
 
 class ConfigError(ValueError):
     """A world or experiment configuration field is invalid."""
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+# Field annotation -> (what the error calls it, check).  bool is a
+# subclass of int, so it is excluded from the numeric types by hand.
+_FIELD_TYPES = {
+    "bool": ("a boolean", lambda v: isinstance(v, bool)),
+    "int": ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    "float": ("a number", _is_number),
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "Optional[str]": ("a string or null", lambda v: v is None or isinstance(v, str)),
+    "Tuple[float, ...]": (
+        "a list of numbers",
+        lambda v: isinstance(v, tuple) and all(_is_number(x) for x in v),
+    ),
+    "WorldConfig": ("an object of world settings", lambda v: isinstance(v, WorldConfig)),
+}
+
+
+def check_field_types(config) -> None:
+    """Raise ConfigError for the first dataclass field whose value does not
+    have its declared type, so no comparison or run ever sees it."""
+    for f in fields(config):
+        kind, ok = _FIELD_TYPES[f.type]
+        value = getattr(config, f.name)
+        if not ok(value):
+            raise ConfigError(f"{f.name} must be {kind}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -49,6 +79,7 @@ class WorldConfig:
         return self.lattice_side ** 2
 
     def validate(self) -> "WorldConfig":
+        check_field_types(self)
         if self.lattice_side < 2:
             raise ConfigError(f"lattice_side must be >= 2, got {self.lattice_side}")
         if self.iterations < 1:
@@ -135,6 +166,16 @@ class World:
 
             self.evaluate = evaluate
 
+        # Without chaining every chain is a single step, so no agent can
+        # score above the best single step.  Once every agent scores it,
+        # adoption (strictly fitter only) can change no chain and the SR
+        # ratio is exactly 1, so no later iteration can change anything.
+        self.absorbing_fitness: Optional[float] = (
+            None
+            if cfg.chaining_enabled
+            else max(self.evaluate((s,)) for s in all_subactions())
+        )
+
         n = cfg.n_agents
         self.neighbors = neighbor_table(cfg.lattice_side)
         placement_rng = random.Random(derive_seed(cfg.base_seed, run_index))
@@ -148,7 +189,6 @@ class World:
         for i in range(n):
             rng = random.Random(derive_seed(cfg.base_seed, run_index, i))
             net = AutoAssociator(rng, trend_learning=cfg.trend_learning)
-            net.train(NEUTRAL)  # defines invention bias at iteration 1
             if cfg.mode == MODE_FIXED_ROLES:
                 is_creator = i in creator_cells
                 role = agent_ops.ROLE_CREATOR if is_creator else agent_ops.ROLE_IMITATOR
@@ -220,9 +260,25 @@ class World:
         self.snapshot = [(a.chain, a.fitness) for a in self.agents]
 
     def run(self) -> RunSeries:
+        """Iterate to the horizon.  An absorbed run stops early and repeats
+        its last series values, which is what the remaining iterations
+        would have recorded."""
+        top = self.absorbing_fitness
         while self.iteration < self.cfg.iterations:
             self.step()
+            if top is not None and all(a.fitness == top for a in self.agents):
+                self._pad_to_horizon()
         return self.series
+
+    def _pad_to_horizon(self) -> None:
+        left = self.cfg.iterations - self.iteration
+        for values in (
+            self.series.mean_fitness,
+            self.series.diversity,
+            self.series.p_create_hist,
+        ):
+            values.extend([values[-1]] * left)
+        self.iteration = self.cfg.iterations
 
 
 def run_world(cfg: WorldConfig, run_index: int) -> RunSeries:

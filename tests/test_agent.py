@@ -205,3 +205,19 @@ def test_symmetric_training_raises_symmetric_candidate_frequency():
         return hits / n
 
     assert symmetric_rate(trained) > symmetric_rate(untrained)
+
+
+@pytest.mark.parametrize(
+    "p_create, trend_learning", [(0.0, True), (0.5, False)],
+    ids=["never_invents", "no_trend_learning"],
+)
+def test_adopt_skips_training_no_output_can_read(p_create, trend_learning):
+    agent = make_agent(p_create=p_create, seed=59)
+    agent.net.trend_learning = trend_learning
+    before = [row[:] for row in agent.net.weights]
+    chain = ((0, 1, 1, 1, 1, 1),)
+    adopt(agent, chain, 39.0)
+    assert agent.chain == chain
+    assert agent.fitness == 39.0
+    assert agent.net.weights == before
+    assert agent.net.decoded == NEUTRAL

@@ -84,3 +84,27 @@ def test_preset_command_with_overrides(tmp_path, capsys):
     assert main(["exp2", "--runs", "1", "--seed", "5", "--out", str(tmp_path / "o")]) == 0
     assert (tmp_path / "o" / "series_sr.csv").exists()
     assert (tmp_path / "o" / "series_nosr.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "world, message",
+    [
+        # "false" is a truthy string: taken as given, it would switch SR on.
+        ({"mode": "shared_p", "sr_enabled": "false"}, "sr_enabled must be a boolean"),
+        # A float horizon would run a rounded number of iterations.
+        ({"iterations": 1.5}, "iterations must be an integer"),
+        # A string size would fail in a comparison, with a traceback.
+        ({"lattice_side": "4"}, "lattice_side must be an integer"),
+    ],
+    ids=["sr_enabled_string", "iterations_float", "lattice_side_string"],
+)
+def test_run_command_rejects_mistyped_world_fields(tmp_path, capsys, world, message):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({
+        "runs_per_cell": 1, "output_dir": str(tmp_path / "out"), "world": world,
+    }))
+    assert main(["run", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()

@@ -163,3 +163,20 @@ def test_preset_spec_overrides():
     assert spec.runs_per_cell == 7
     assert spec.world.base_seed == 42
     assert spec.output_dir == "somewhere"
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ({"runs_per_cell": 2.0}, "runs_per_cell must be an integer"),
+        ({"runs_per_cell": True}, "runs_per_cell must be an integer"),
+        ({"grid_c": "ab"}, "grid_c must be a list of numbers"),
+        ({"grid_p": 0.5}, "grid_p must be a list of numbers"),
+        ({"grid_p": [0.5, True]}, "grid_p must be a list of numbers"),
+        ({"output_dir": 5}, "output_dir must be a string"),
+        ({"world": {"max_chain_length": 5.0}}, "max_chain_length must be an integer"),
+    ],
+)
+def test_mistyped_fields_are_errors(tmp_path, payload, message):
+    with pytest.raises(ConfigError, match=message):
+        load_config(write_config(tmp_path, payload))

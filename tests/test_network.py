@@ -6,15 +6,18 @@ import random
 
 import pytest
 
-from culturesim.actions import all_subactions
+from culturesim.actions import NEUTRAL, all_subactions
 from culturesim.network import (
     BETA,
     CONVERGENCE_TOL,
     DECODE_HIGH,
     DECODE_LOW,
     FIXED_HIDDEN_WEIGHTS,
+    HIDDEN_NODES,
+    INIT_WEIGHT_SCALE,
     LEARNING_RATE,
     MAX_EPOCHS,
+    NUM_PARTS,
     TARGET_ACTIVATION,
     THETA,
     AutoAssociator,
@@ -166,3 +169,127 @@ def test_training_respects_epoch_budget():
         before = [row[:] for row in net.weights]
         net.train(sub)
         assert net.weights == before
+
+
+class ReferenceNet:
+    """The two-pass training loop the network used to run, kept verbatim:
+    the epoch loop, then a fresh ``activate`` on the final weights."""
+
+    def __init__(self, rng):
+        self.weights = [
+            [rng.uniform(-INIT_WEIGHT_SCALE, INIT_WEIGHT_SCALE) for _ in range(NUM_PARTS)]
+            for _ in range(NUM_PARTS)
+        ]
+        self.converged = True
+        base = sigmoid(0.0)
+        self.decoded = (0,) * NUM_PARTS
+        self._movement_bias = base
+        self._symmetry_bias = base
+
+    def _forward(self, x):
+        w = self.weights
+        out = []
+        for j in range(NUM_PARTS):
+            net = THETA
+            for i in range(NUM_PARTS):
+                xi = x[i]
+                if xi:
+                    net += xi * w[i][j]
+            out.append(1.0 / (1.0 + math.exp(-BETA * net)))
+        return out
+
+    def activate(self, sub):
+        out = self._forward(sub)
+        decoded = tuple(decode_activation(a) for a in out)
+        self.decoded = decoded
+        hidden = {}
+        for row, name in zip(FIXED_HIDDEN_WEIGHTS, HIDDEN_NODES):
+            if name == "MOVEMENT":
+                net = sum(w * abs(v) for w, v in zip(row, decoded))
+            else:
+                net = sum(w * v for w, v in zip(row, decoded))
+            hidden[name] = sigmoid(net)
+        self.hidden = hidden
+        self._movement_bias = hidden["MOVEMENT"]
+        self._symmetry_bias = hidden["SYMMETRY"]
+        return out
+
+    def train(self, sub):
+        targets = [TARGET_ACTIVATION[v] for v in sub]
+        active = [i for i in range(NUM_PARTS) if sub[i]]
+        w = self.weights
+        converged = False
+        for _ in range(MAX_EPOCHS):
+            out = self._forward(sub)
+            worst = 0.0
+            deltas = []
+            for j in range(NUM_PARTS):
+                err = targets[j] - out[j]
+                if err > worst:
+                    worst = err
+                elif -err > worst:
+                    worst = -err
+                deltas.append(LEARNING_RATE * err * out[j] * (1.0 - out[j]))
+            if worst < CONVERGENCE_TOL:
+                converged = True
+                break
+            for i in active:
+                xi = sub[i]
+                wi = w[i]
+                for j in range(NUM_PARTS):
+                    wi[j] += xi * deltas[j]
+        else:
+            out = self._forward(sub)
+            converged = max(abs(t - o) for t, o in zip(targets, out)) < CONVERGENCE_TOL
+        self.converged = converged
+        self.activate(sub)
+        return converged
+
+    def invention_bias(self):
+        return self._movement_bias, self._symmetry_bias
+
+
+def assert_same_state(net, ref):
+    assert net.weights == ref.weights
+    assert net.converged == ref.converged
+    assert net.decoded == ref.decoded
+    assert net.invention_bias() == ref.invention_bias()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_single_pass_training_is_bit_identical_to_the_reference(seed):
+    net = fresh_net(seed)
+    ref = ReferenceNet(random.Random(seed))
+    assert_same_state(net, ref)
+    subs = list(all_subactions())
+    rng = random.Random(1000 + seed)
+    for _ in range(2000):
+        # Repeats happen in real runs (imitation copies a neighbour's
+        # action), so draw from a small pool half the time.
+        sub = rng.choice(subs[:40] if rng.random() < 0.5 else subs)
+        assert net.train(sub) == ref.train(sub)
+        assert_same_state(net, ref)
+    assert net.hidden == ref.hidden
+
+
+def test_single_pass_training_matches_the_reference_without_convergence():
+    # Saturated weights flatten the sigmoid's slope, so 50 epochs cannot
+    # reach the targets and the epoch budget runs out.
+    net = fresh_net(0)
+    ref = ReferenceNet(random.Random(0))
+    for i in range(6):
+        for j in range(6):
+            net.weights[i][j] = ref.weights[i][j] = 100.0
+    for sub in ((-1, -1, -1, -1, -1, -1), (0, 1, -1, 1, 0, 1), (1, 1, 0, 1, 1, 1)):
+        assert net.train(sub) == ref.train(sub)
+        assert not ref.converged
+        assert_same_state(net, ref)
+
+
+def test_training_a_fresh_net_on_neutral_changes_nothing():
+    net = fresh_net(21)
+    before = ([row[:] for row in net.weights], net.decoded, net.converged,
+              net.invention_bias(), net.hidden)
+    assert net.train(NEUTRAL)
+    after = (net.weights, net.decoded, net.converged, net.invention_bias(), net.hidden)
+    assert after == before

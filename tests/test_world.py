@@ -129,3 +129,75 @@ def test_series_lengths_match_iterations():
     assert len(series.diversity) == 12
     assert len(series.p_create_hist) == 12
     assert series.config_digest == cfg.digest()
+
+
+@pytest.mark.parametrize(
+    "kw",
+    [
+        dict(creator_fraction=0.5, creator_creativity=0.6),
+        dict(mode=MODE_SHARED_P, sr_enabled=True),
+        dict(mode=MODE_SHARED_P, fitness_regime=REGIME_TEMPLATE),
+    ],
+    ids=["fixed_roles", "shared_p_sr", "template_no_chaining"],
+)
+def test_absorbed_run_stops_early_with_the_stepped_series(kw, monkeypatch):
+    cfg = WorldConfig(lattice_side=4, iterations=300, **kw)
+    stepped = World(cfg, 0)
+    top = stepped.absorbing_fitness
+    absorbed_at = None
+    for t in range(cfg.iterations):
+        stepped.step()
+        if absorbed_at is None and all(a.fitness == top for a in stepped.agents):
+            absorbed_at = t + 1
+    assert absorbed_at is not None and absorbed_at < cfg.iterations
+
+    steps = 0
+    step = World.step
+
+    def counted_step(self):
+        nonlocal steps
+        steps += 1
+        step(self)
+
+    monkeypatch.setattr(World, "step", counted_step)
+    series = World(cfg, 0).run()
+    assert steps == absorbed_at
+    assert series.mean_fitness == stepped.series.mean_fitness
+    assert series.diversity == stepped.series.diversity
+    assert series.p_create_hist == stepped.series.p_create_hist
+
+
+def test_chaining_runs_are_never_cut_short():
+    cfg = small(fitness_regime=REGIME_TEMPLATE, chaining_enabled=True)
+    w = World(cfg, 0)
+    assert w.absorbing_fitness is None
+    w.run()
+    assert w.iteration == cfg.iterations
+
+
+def test_absorbing_fitness_is_the_best_single_step():
+    assert World(small(), 0).absorbing_fitness == 39
+    assert World(small(fitness_regime=REGIME_TEMPLATE), 0).absorbing_fitness == 31
+
+
+@pytest.mark.parametrize(
+    "kw, message",
+    [
+        (dict(sr_enabled="false", mode=MODE_SHARED_P), "sr_enabled must be a boolean"),
+        (dict(trend_learning=1), "trend_learning must be a boolean"),
+        (dict(iterations=1.5), "iterations must be an integer"),
+        (dict(iterations=True), "iterations must be an integer"),
+        (dict(lattice_side="4"), "lattice_side must be an integer"),
+        (dict(tau=True), "tau must be a number"),
+        (dict(creator_fraction="0.5"), "creator_fraction must be a number"),
+        (dict(mode=3), "mode must be a string"),
+        (dict(template_file=7), "template_file must be a string or null"),
+    ],
+)
+def test_config_field_types_are_checked(kw, message):
+    with pytest.raises(ConfigError, match=message):
+        WorldConfig(**kw).validate()
+
+
+def test_ints_are_accepted_as_floats():
+    WorldConfig(tau=35, creator_fraction=1, creator_creativity=0).validate()
