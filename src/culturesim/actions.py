@@ -100,10 +100,6 @@ def make_subaction(values: Sequence[int]) -> SubAction:
     return values
 
 
-def subaction_equal(a: SubAction, b: SubAction) -> bool:
-    return a == b
-
-
 def make_chain(steps: Sequence[SubAction]) -> ActionChain:
     """Validate and build an action chain.
 

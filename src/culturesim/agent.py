@@ -6,8 +6,8 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Optional, Sequence, Tuple
 
 from .actions import ActionChain, SYMMETRIC_PARTNER, SubAction
 from .fitness import TemplateSet
@@ -19,9 +19,6 @@ IMITATE = "imitate"
 FLIP_PROBABILITY = 1.0 / 6.0
 _MAX_DRAW_TRIES = 16
 
-ROLE_CREATOR = "creator"
-ROLE_IMITATOR = "imitator"
-
 
 @dataclass
 class Agent:
@@ -31,7 +28,6 @@ class Agent:
     fitness: float
     net: AutoAssociator
     rng: random.Random
-    role: Optional[str] = None
 
 
 def decide(agent: Agent) -> str:

@@ -23,6 +23,7 @@ from .analysis import (
     summarize_cell,
     time_to_threshold,
 )
+from .fitness import TemplateSet
 from .world import (
     ConfigError,
     MODE_FIXED_ROLES,
@@ -71,6 +72,17 @@ class ExperimentSpec:
                 if not 0.0 <= v <= 1.0:
                     raise ConfigError(f"{name} values must be in [0, 1], got {v}")
         self.world.validate()
+        w = self.world
+        if w.template_file and w.fitness_regime == REGIME_TEMPLATE:
+            # Fail here, before any run starts, not inside every worker.
+            try:
+                TemplateSet.from_file(w.template_file)
+            except OSError as exc:
+                raise ConfigError(
+                    f"template_file {w.template_file!r} cannot be read: {exc.strerror or exc}"
+                ) from None
+            except ValueError as exc:
+                raise ConfigError(f"template_file is invalid: {exc}") from None
         return self
 
     def digest(self) -> str:
@@ -169,32 +181,14 @@ def _job(args: Tuple[WorldConfig, int]) -> RunSeries:
 
 
 def run_jobs(jobs: Sequence[Tuple[WorldConfig, int]], workers: Optional[int] = None) -> List[RunSeries]:
-    """Execute runs in job order; failed jobs are retried once from their
-    deterministic seed before the sweep aborts."""
+    """Execute runs in job order.  A run is a pure function of its job, so
+    a failed job is not retried: the first error propagates."""
     if workers is None:
         workers = worker_count()
-    results: List[Optional[RunSeries]] = [None] * len(jobs)
     if workers <= 1 or len(jobs) <= 1:
-        for i, job in enumerate(jobs):
-            try:
-                results[i] = _job(job)
-            except Exception:
-                results[i] = _job(job)  # single retry, then propagate
-        return results  # type: ignore[return-value]
+        return [_job(job) for job in jobs]
     with multiprocessing.Pool(workers) as pool:
-        for i, res in enumerate(pool.imap(_try_job, jobs, chunksize=1)):
-            if isinstance(res, Exception):
-                results[i] = _job(jobs[i])  # retry in-process
-            else:
-                results[i] = res
-    return results  # type: ignore[return-value]
-
-
-def _try_job(args):
-    try:
-        return _job(args)
-    except Exception as exc:  # pickled back to the parent for the retry
-        return exc
+        return list(pool.imap(_job, jobs, chunksize=1))
 
 
 def fmt(x: float) -> str:

@@ -9,6 +9,21 @@ action the agent has been learning.
 The matrices are tiny, so the arithmetic is written out in plain Python;
 at 6x6 this is several times faster than vectorized array calls, and the
 training loop sits on the simulation's hot path.
+
+``train`` unrolls the six outputs into locals and adds or subtracts a
+weight for a +1 or -1 input instead of multiplying by it.  Every float it
+produces is bit-identical to what ``_forward`` and a per-element
+``w += x * delta`` update produce, for three reasons:
+
+* multiplying by +/-1 is exact, and ``a + (-b) == a - b`` in IEEE 754;
+* each output's net input is summed left to right over the rows in index
+  order, the same order as ``_forward``;
+* the sigmoid and ``LEARNING_RATE * err * o * (1.0 - o)`` keep their
+  operand order.
+
+Built-in ``sum`` is avoided on purpose: from Python 3.12 it sums floats
+with compensation, which rounds differently.  ``_forward``, ``activate``
+and ``recall`` keep the plain per-element form as the reference model.
 """
 
 from __future__ import annotations
@@ -150,42 +165,77 @@ class AutoAssociator:
         truth and the network only biases invention.  Afterwards the
         network is left as ``activate(sub)`` would leave it: the last
         forward pass ran on the final weights, so its output is reused.
+
+        The six outputs are unrolled into locals (see the module docstring
+        for why every value is bit-identical to ``_forward``'s).  Neutral
+        inputs add nothing to a net input and receive no update, so only
+        the active rows are visited, in index order.
         """
-        targets = [TARGET_ACTIVATION[v] for v in sub]
-        # Neutral inputs add nothing to a net input and receive no update,
-        # so only the active rows are visited, in index order as _forward
-        # visits them, which keeps every sum bit-identical.
-        rows = [(sub[i], self.weights[i]) for i in range(NUM_PARTS) if sub[i]]
+        t0, t1, t2, t3, t4, t5 = [TARGET_ACTIVATION[v] for v in sub]
+        weights = self.weights
+        rows = [(sub[i] > 0, weights[i]) for i in range(NUM_PARTS) if sub[i]]
+        tol = CONVERGENCE_TOL
         converged = False
         # MAX_EPOCHS updates, each after a forward pass, plus one final
         # forward pass to judge the last update.
         for epoch in range(MAX_EPOCHS + 1):
-            out = []
-            for j in range(NUM_PARTS):
-                net = THETA
-                for xi, wi in rows:
-                    net += xi * wi[j]
-                out.append(1.0 / (1.0 + math.exp(-BETA * net)))
-            worst = 0.0
-            for t, o in zip(targets, out):
-                err = t - o
-                if err > worst:
-                    worst = err
-                elif -err > worst:
-                    worst = -err
-            if worst < CONVERGENCE_TOL:
+            n0 = n1 = n2 = n3 = n4 = n5 = THETA
+            for up, w in rows:
+                if up:
+                    n0 += w[0]
+                    n1 += w[1]
+                    n2 += w[2]
+                    n3 += w[3]
+                    n4 += w[4]
+                    n5 += w[5]
+                else:
+                    n0 -= w[0]
+                    n1 -= w[1]
+                    n2 -= w[2]
+                    n3 -= w[3]
+                    n4 -= w[4]
+                    n5 -= w[5]
+            o0 = 1.0 / (1.0 + math.exp(-BETA * n0))
+            o1 = 1.0 / (1.0 + math.exp(-BETA * n1))
+            o2 = 1.0 / (1.0 + math.exp(-BETA * n2))
+            o3 = 1.0 / (1.0 + math.exp(-BETA * n3))
+            o4 = 1.0 / (1.0 + math.exp(-BETA * n4))
+            o5 = 1.0 / (1.0 + math.exp(-BETA * n5))
+            e0 = t0 - o0
+            e1 = t1 - o1
+            e2 = t2 - o2
+            e3 = t3 - o3
+            e4 = t4 - o4
+            e5 = t5 - o5
+            if (-tol < e0 < tol and -tol < e1 < tol and -tol < e2 < tol
+                    and -tol < e3 < tol and -tol < e4 < tol and -tol < e5 < tol):
                 converged = True
                 break
             if epoch == MAX_EPOCHS:
                 break
-            deltas = [
-                LEARNING_RATE * (t - o) * o * (1.0 - o) for t, o in zip(targets, out)
-            ]
-            for xi, wi in rows:
-                for j in range(NUM_PARTS):
-                    wi[j] += xi * deltas[j]
+            d0 = LEARNING_RATE * e0 * o0 * (1.0 - o0)
+            d1 = LEARNING_RATE * e1 * o1 * (1.0 - o1)
+            d2 = LEARNING_RATE * e2 * o2 * (1.0 - o2)
+            d3 = LEARNING_RATE * e3 * o3 * (1.0 - o3)
+            d4 = LEARNING_RATE * e4 * o4 * (1.0 - o4)
+            d5 = LEARNING_RATE * e5 * o5 * (1.0 - o5)
+            for up, w in rows:
+                if up:
+                    w[0] += d0
+                    w[1] += d1
+                    w[2] += d2
+                    w[3] += d3
+                    w[4] += d4
+                    w[5] += d5
+                else:
+                    w[0] -= d0
+                    w[1] -= d1
+                    w[2] -= d2
+                    w[3] -= d3
+                    w[4] -= d4
+                    w[5] -= d5
         self.converged = converged
-        self._set_output(out)
+        self._set_output([o0, o1, o2, o3, o4, o5])
         return converged
 
     def recall(self, sub: SubAction) -> SubAction:

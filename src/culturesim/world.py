@@ -11,7 +11,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from . import agent as agent_ops
 from .actions import ActionChain, NEUTRAL, SubAction, all_subactions
-from .agent import Agent, CREATE
+from .agent import Agent
 from .analysis import RunSeries, p_create_histogram
 from .fitness import TemplateSet, fitness_single
 from .network import AutoAssociator
@@ -190,11 +190,8 @@ class World:
             rng = random.Random(derive_seed(cfg.base_seed, run_index, i))
             net = AutoAssociator(rng, trend_learning=cfg.trend_learning)
             if cfg.mode == MODE_FIXED_ROLES:
-                is_creator = i in creator_cells
-                role = agent_ops.ROLE_CREATOR if is_creator else agent_ops.ROLE_IMITATOR
-                p_create = cfg.creator_creativity if is_creator else 0.0
+                p_create = cfg.creator_creativity if i in creator_cells else 0.0
             else:
-                role = None
                 p_create = INITIAL_P_CREATE
             self.agents.append(
                 Agent(
@@ -204,14 +201,14 @@ class World:
                     fitness=initial_fitness,
                     net=net,
                     rng=rng,
-                    role=role,
                 )
             )
 
         self.snapshot: List[Tuple[ActionChain, float]] = [
             (a.chain, a.fitness) for a in self.agents
         ]
-        self.mean_fitness_prev = initial_fitness
+        # The agents that can still change their chain; see step().
+        self.active: List[Agent] = list(self.agents)
         self.series = RunSeries(
             mean_fitness=[],
             diversity=[],
@@ -221,12 +218,20 @@ class World:
         )
 
     def step(self) -> None:
-        """One synchronous iteration: every agent acts against the frozen
-        t-1 snapshot, then the SR update runs against the t-1 society mean."""
+        """One synchronous iteration: every active agent acts against the
+        frozen t-1 snapshot, then the SR update runs against the t-1 society
+        mean.
+
+        An agent at ``absorbing_fitness`` is no longer active.  Acting could
+        not change its chain: no invention or neighbour is strictly fitter,
+        and adoption is strict.  The only other effect of acting is on its
+        own RNG stream, which nothing else reads.  The SR update, the
+        snapshot and the statistics still cover every agent.
+        """
         cfg = self.cfg
         snapshot = self.snapshot
         neighbors = self.neighbors
-        for a in self.agents:
+        for a in self.active:
             if a.rng.random() < a.p_create:  # inlined decide()
                 candidate = agent_ops.invent(
                     a, self.template_set, cfg.chaining_enabled, cfg.max_chain_length
@@ -241,6 +246,10 @@ class World:
                 if found is not None:
                     agent_ops.adopt(a, found[0], found[1])
 
+        top = self.absorbing_fitness
+        if top is not None:
+            self.active = [a for a in self.active if a.fitness < top]
+
         n = len(self.agents)
         mean_fit = sum(a.fitness for a in self.agents) / n
         if cfg.sr_enabled:
@@ -253,20 +262,21 @@ class World:
         self.iteration += 1
         self.series.mean_fitness.append(mean_fit)
         self.series.diversity.append(len({a.chain for a in self.agents}))
-        self.series.p_create_hist.append(
-            p_create_histogram([a.p_create for a in self.agents])
-        )
-        self.mean_fitness_prev = mean_fit
+        hist = self.series.p_create_hist
+        if cfg.sr_enabled or not hist:
+            hist.append(p_create_histogram([a.p_create for a in self.agents]))
+        else:
+            # Only the SR update changes p(C) after __init__.
+            hist.append(hist[-1])
         self.snapshot = [(a.chain, a.fitness) for a in self.agents]
 
     def run(self) -> RunSeries:
-        """Iterate to the horizon.  An absorbed run stops early and repeats
-        its last series values, which is what the remaining iterations
-        would have recorded."""
-        top = self.absorbing_fitness
+        """Iterate to the horizon.  A run with no active agent left is
+        absorbed: it stops early and repeats its last series values, which
+        is what the remaining iterations would have recorded."""
         while self.iteration < self.cfg.iterations:
             self.step()
-            if top is not None and all(a.fitness == top for a in self.agents):
+            if not self.active:
                 self._pad_to_horizon()
         return self.series
 

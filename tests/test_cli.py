@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from culturesim import world as world_mod
 from culturesim.cli import main
 from importlib import resources
 
@@ -107,4 +108,34 @@ def test_run_command_rejects_mistyped_world_fields(tmp_path, capsys, world, mess
     err = capsys.readouterr().err
     assert err.startswith(f"error: {message}")
     assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "contents, message",
+    [
+        (None, "error: template_file '{path}' cannot be read: No such file or directory"),
+        ('["*x"]', "error: template_file is invalid: {path}: template 0:"),
+    ],
+    ids=["missing", "malformed"],
+)
+def test_run_command_checks_the_template_file_before_any_run(
+    tmp_path, capsys, monkeypatch, contents, message
+):
+    templates = tmp_path / "templates.json"
+    if contents is not None:
+        templates.write_text(contents)
+    worlds = []
+    monkeypatch.setattr(world_mod.World, "__init__", lambda self, *a: worlds.append(a))
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({
+        "runs_per_cell": 3, "output_dir": str(tmp_path / "out"),
+        "world": {"mode": "shared_p", "fitness_regime": "template",
+                  "template_file": str(templates)},
+    }))
+    assert main(["run", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(message.format(path=templates))
+    assert err.count("\n") == 1
+    assert worlds == []
     assert not (tmp_path / "out").exists()

@@ -16,6 +16,7 @@ from culturesim.experiments import (
     fmt,
     load_config,
     preset_spec,
+    run_jobs,
     worker_count,
 )
 from culturesim.world import ConfigError, WorldConfig
@@ -180,3 +181,40 @@ def test_preset_spec_overrides():
 def test_mistyped_fields_are_errors(tmp_path, payload, message):
     with pytest.raises(ConfigError, match=message):
         load_config(write_config(tmp_path, payload))
+
+
+def test_template_file_is_loaded_by_validate(tmp_path):
+    templates = tmp_path / "templates.json"
+    templates.write_text('["01-11-1*"]')
+    payload = {"world": {"mode": "shared_p", "fitness_regime": "template",
+                         "template_file": str(templates)}}
+    assert load_config(write_config(tmp_path, payload)).world.template_file == str(templates)
+    templates.write_text("[]")
+    with pytest.raises(ConfigError, match="template_file is invalid: template set is empty"):
+        load_config(write_config(tmp_path, payload))
+    # Outside the template regime the file is never read.
+    payload["world"]["fitness_regime"] = "single_step"
+    load_config(write_config(tmp_path, payload))
+
+
+class FailingConfig:
+    """Stands in for a WorldConfig whose run fails: ``World`` validates its
+    config first, so each run of it appends one line to ``log`` and raises.
+    Module level, so it pickles to pool workers."""
+
+    def __init__(self, log):
+        self.log = log
+
+    def validate(self):
+        with open(self.log, "a") as fh:
+            fh.write("run\n")
+        raise RuntimeError("run failed")
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_failing_job_runs_once_and_raises(tmp_path, workers):
+    log = tmp_path / "runs.log"
+    jobs = [(FailingConfig(str(log)), 0), (tiny_world(), 0)]
+    with pytest.raises(RuntimeError, match="run failed"):
+        run_jobs(jobs, workers)
+    assert log.read_text() == "run\n"

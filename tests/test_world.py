@@ -2,6 +2,8 @@
 
 import pytest
 
+from culturesim import agent as agent_ops
+from culturesim.analysis import p_create_histogram
 from culturesim.world import (
     ConfigError,
     MODE_SHARED_P,
@@ -165,6 +167,76 @@ def test_absorbed_run_stops_early_with_the_stepped_series(kw, monkeypatch):
     assert series.mean_fitness == stepped.series.mean_fitness
     assert series.diversity == stepped.series.diversity
     assert series.p_create_hist == stepped.series.p_create_hist
+
+
+def reference_step(self):
+    """``World.step`` as it was before absorbed agents were skipped, kept
+    verbatim (less a write of a field nothing read): every agent acts, and
+    the p(C) histogram is rebuilt every iteration."""
+    cfg = self.cfg
+    snapshot = self.snapshot
+    neighbors = self.neighbors
+    for a in self.agents:
+        if a.rng.random() < a.p_create:  # inlined decide()
+            candidate = agent_ops.invent(
+                a, self.template_set, cfg.chaining_enabled, cfg.max_chain_length
+            )
+            if candidate is not a.chain:
+                agent_ops.adopt_if_fitter(a, candidate, self.evaluate)
+        else:
+            up, down, left, right = neighbors[a.id]
+            found = agent_ops.imitate(
+                a, (snapshot[up], snapshot[down], snapshot[left], snapshot[right])
+            )
+            if found is not None:
+                agent_ops.adopt(a, found[0], found[1])
+
+    n = len(self.agents)
+    mean_fit = sum(a.fitness for a in self.agents) / n
+    if cfg.sr_enabled:
+        for a in self.agents:
+            agent_ops.update_p_create(a, mean_fit)
+
+    self.iteration += 1
+    self.series.mean_fitness.append(mean_fit)
+    self.series.diversity.append(len({a.chain for a in self.agents}))
+    self.series.p_create_hist.append(
+        p_create_histogram([a.p_create for a in self.agents])
+    )
+    self.snapshot = [(a.chain, a.fitness) for a in self.agents]
+
+
+@pytest.mark.parametrize(
+    "kw",
+    [
+        dict(creator_fraction=0.5, creator_creativity=0.6),
+        dict(mode=MODE_SHARED_P, sr_enabled=True),
+        dict(mode=MODE_SHARED_P, fitness_regime=REGIME_TEMPLATE),
+        dict(mode=MODE_SHARED_P, sr_enabled=True, fitness_regime=REGIME_TEMPLATE,
+             chaining_enabled=True),
+    ],
+    ids=["fixed_roles", "shared_p_sr", "template_no_chaining", "chaining_sr"],
+)
+@pytest.mark.parametrize("run_index", [0, 1])
+def test_skipping_absorbed_agents_matches_the_reference_step(kw, run_index):
+    cfg = WorldConfig(lattice_side=5, iterations=120, **kw)
+    world, ref = World(cfg, run_index), World(cfg, run_index)
+    skipped_at = None
+    for t in range(cfg.iterations):
+        world.step()
+        reference_step(ref)
+        assert world.series.mean_fitness == ref.series.mean_fitness
+        assert world.series.diversity == ref.series.diversity
+        assert world.series.p_create_hist == ref.series.p_create_hist
+        assert [(a.chain, a.fitness, a.p_create) for a in world.agents] == [
+            (a.chain, a.fitness, a.p_create) for a in ref.agents
+        ]
+        if skipped_at is None and len(world.active) < cfg.n_agents:
+            skipped_at = t + 1
+    if cfg.chaining_enabled:
+        assert len(world.active) == cfg.n_agents
+    else:
+        assert skipped_at is not None and skipped_at < cfg.iterations
 
 
 def test_chaining_runs_are_never_cut_short():
