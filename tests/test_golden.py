@@ -33,6 +33,10 @@ GOLDEN = {
     "exp1-grid": (PRESET_EXP1, 1, ((0.4, 1.0), (0.6, 1.0)), {
         "surface.csv": "b8f34cd05d7126a540bcf5ccc25a89cd8a4d1b584e6fbd2be214ddc3d01f60d4",
     }),
+    # Without the corner, the (1, 1) PIV baseline runs as extra jobs.
+    "exp1-grid-baseline": (PRESET_EXP1, 2, ((0.2, 0.4), (0.2, 0.6)), {
+        "surface.csv": "1de8b29937149e025bc7d1049828baf9cc0b88e764a45a47bacb54904b9d7720",
+    }),
 }
 
 
