@@ -7,7 +7,7 @@ analysis never touches simulation state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 HIST_BINS = 10

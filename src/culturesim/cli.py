@@ -6,6 +6,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from concurrent.futures import BrokenExecutor
 from typing import List, Optional
 
 from .actions import ActionFormatError
@@ -127,7 +128,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.command == "validate-templates":
             return cmd_validate_templates(args)
         parser.error(f"unknown command {args.command!r}")
-    except (ConfigError, ActionFormatError, OSError, ValueError) as exc:
+    except (ConfigError, ActionFormatError, OSError, ValueError, BrokenExecutor) as exc:
+        # BrokenExecutor: a pool worker died mid-sweep (BrokenProcessPool).
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

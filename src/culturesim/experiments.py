@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import multiprocessing
 import os
 import tempfile
 from dataclasses import asdict, dataclass, field, replace
@@ -89,6 +88,7 @@ class ExperimentSpec:
         """Digest of the scientific content; output location is excluded."""
         d = self.to_dict()
         del d["output_dir"]
+        d["world"] = self.world.digest_fields()
         payload = json.dumps(d, sort_keys=True).encode()
         return hashlib.sha256(payload).hexdigest()
 
@@ -182,13 +182,24 @@ def _job(args: Tuple[WorldConfig, int]) -> RunSeries:
 
 def run_jobs(jobs: Sequence[Tuple[WorldConfig, int]], workers: Optional[int] = None) -> List[RunSeries]:
     """Execute runs in job order.  A run is a pure function of its job, so
-    a failed job is not retried: the first error propagates."""
+    a failed job is not retried: the first error propagates, and the jobs
+    not yet started are cancelled.  A worker that dies fails the sweep
+    with ``BrokenProcessPool`` instead of hanging it."""
     if workers is None:
         workers = worker_count()
     if workers <= 1 or len(jobs) <= 1:
         return [_job(job) for job in jobs]
-    with multiprocessing.Pool(workers) as pool:
-        return list(pool.imap(_job, jobs, chunksize=1))
+    # Imported here: the module imports ``logging``, which the serial path
+    # and ``import culturesim`` never need.
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(workers) as pool:
+        futures = [pool.submit(_job, job) for job in jobs]
+        try:
+            return [f.result() for f in futures]
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
 
 
 def fmt(x: float) -> str:
@@ -277,25 +288,22 @@ def execute_exp1(spec: ExperimentSpec, workers: Optional[int] = None) -> List[Pa
         (c, p): replace(spec.world, creator_fraction=c, creator_creativity=p)
         for c, p in cells
     }
-    baseline_cfg = replace(spec.world, creator_fraction=1.0, creator_creativity=1.0)
-    need_baseline = (1.0, 1.0) not in cell_cfg
-    jobs: List[Tuple[WorldConfig, int]] = []
-    for cell in cells:
-        jobs.extend((cell_cfg[cell], r) for r in range(spec.runs_per_cell))
-    if need_baseline:
-        jobs.extend((baseline_cfg, r) for r in range(spec.runs_per_cell))
+    # Invention, and the training after it, dominate a run, so a cell's
+    # cost grows with C*p.  Dispatching the dearest cells first keeps every
+    # worker busy to the end of the sweep.  The sort is stable, so ties
+    # keep grid order; no output depends on this order.
+    order = sorted(cell_cfg, key=lambda cell: cell[0] * cell[1], reverse=True)
+    if (1.0, 1.0) not in cell_cfg:
+        # The paired PIV baseline is the (1, 1) corner, the dearest of all.
+        cell_cfg[(1.0, 1.0)] = replace(
+            spec.world, creator_fraction=1.0, creator_creativity=1.0
+        )
+        order.insert(0, (1.0, 1.0))
+    k = spec.runs_per_cell
+    jobs = [(cell_cfg[cell], r) for cell in order for r in range(k)]
     results = run_jobs(jobs, workers)
-
-    by_cell: Dict[Tuple[float, float], List[RunSeries]] = {}
-    idx = 0
-    for cell in cells:
-        by_cell[cell] = results[idx : idx + spec.runs_per_cell]
-        idx += spec.runs_per_cell
-    baselines = (
-        results[idx : idx + spec.runs_per_cell]
-        if need_baseline
-        else by_cell[(1.0, 1.0)]
-    )
+    by_cell = {cell: results[i * k : (i + 1) * k] for i, cell in enumerate(order)}
+    baselines = by_cell[(1.0, 1.0)]
 
     tau = spec.world.tau
     horizon = spec.world.iterations

@@ -7,6 +7,11 @@ Two regimes are supported:
 * template-based: a sub-action scores the summed order of every template
   it matches, and chains of acceptable sub-actions accumulate fitness
   step by step, making the output space open-ended.
+
+Either way a step's score is a pure function of the sub-action, kept in
+a ``ScoreTable``: one per process for single-step fitness, one per
+``TemplateSet``.  A chain scores the sum of its steps' table entries;
+the scores are ints, so the sum is exact on every Python version.
 """
 
 from __future__ import annotations
@@ -14,13 +19,12 @@ from __future__ import annotations
 import json
 from importlib import resources
 from pathlib import Path
-from typing import Dict, Iterable, Tuple
+from typing import Callable, Iterable, Tuple
 
 from .actions import (
     ActionChain,
     ActionFormatError,
     BodyPart,
-    NUM_PARTS,
     SubAction,
     Template,
     all_subactions,
@@ -64,6 +68,33 @@ def max_fitness_single() -> int:
     return max(fitness_single(s) for s in all_subactions())
 
 
+class ScoreTable(dict):
+    """Sub-action -> score of a pure scoring function.  A sub-action is
+    scored on its first lookup and stored, so the table fills lazily: a
+    run meets far fewer than the 729 sub-actions."""
+
+    def __init__(self, score: Callable[[SubAction], int]):
+        super().__init__()
+        self.score = score
+
+    def __missing__(self, sub: SubAction) -> int:
+        value = self[sub] = self.score(sub)
+        return value
+
+
+_single_step_score = ScoreTable(fitness_single).__getitem__
+
+
+def fitness_single_chain(chain: ActionChain) -> int:
+    """Single-step fitness summed over a chain's steps.  Without chaining
+    every chain has one step, where this loop is cheaper than setting up
+    ``sum(map(...))``."""
+    total = 0
+    for step in chain:
+        total += _single_step_score(step)
+    return total
+
+
 def template_weight(template: Template, sub: SubAction) -> int:
     """1 if every specified template component equals the sub-action's."""
     for t, d in zip(template, sub):
@@ -86,7 +117,7 @@ class TemplateSet:
             raise ValueError("template set is empty")
         self.acceptable = ACCEPTABLE_SUBACTIONS
         self._orders = tuple(template_order(t) for t in self.templates)
-        self._cache: Dict[SubAction, int] = {}
+        self._cache = ScoreTable(self._score)
         self._acceptable_set = frozenset(self.acceptable)
 
     @classmethod
@@ -113,23 +144,22 @@ class TemplateSet:
         ) as path:
             return cls.from_file(path)
 
-    def fitness_subaction(self, sub: SubAction) -> int:
-        """Summed order of every matching template."""
-        cached = self._cache.get(sub)
-        if cached is not None:
-            return cached
+    def _score(self, sub: SubAction) -> int:
         total = 0
         for template, order in zip(self.templates, self._orders):
             if template_weight(template, sub):
                 total += order
-        self._cache[sub] = total
         return total
+
+    def fitness_subaction(self, sub: SubAction) -> int:
+        """Summed order of every matching template."""
+        return self._cache[sub]
 
     def is_successful(self, sub: SubAction) -> bool:
         return sub in self._acceptable_set
 
     def fitness_chain(self, chain: ActionChain) -> int:
-        return sum(self.fitness_subaction(step) for step in chain)
+        return sum(map(self._cache.__getitem__, chain))
 
 
 def fitness_subaction(sub: SubAction, ts: TemplateSet) -> int:

@@ -24,6 +24,16 @@ produces is bit-identical to what ``_forward`` and a per-element
 Built-in ``sum`` is avoided on purpose: from Python 3.12 it sums floats
 with compensation, which rounds differently.  ``_forward``, ``activate``
 and ``recall`` keep the plain per-element form as the reference model.
+
+When ``train`` converges, the decoded output is the trained pattern
+itself, so it is taken from ``sub`` instead of decoding six outputs.
+Convergence means every ``|t - o| < CONVERGENCE_TOL = 0.05`` with a
+target ``t`` of 0.1, 0.5 or 0.9, which puts ``o`` in (0.05, 0.15),
+(0.45, 0.55) or (0.85, 0.95).  Against the DECODE_LOW = 0.33 and
+DECODE_HIGH = 0.67 thresholds these intervals decode to -1, 0 and +1
+with a margin of at least 0.12, far above any rounding error, so the
+decoded trit always equals the input trit.  Only a run that exhausts
+MAX_EPOCHS decodes its outputs.
 """
 
 from __future__ import annotations
@@ -107,19 +117,23 @@ class AutoAssociator:
         "weights",
         "trend_learning",
         "converged",
-        "output_activations",
         "decoded",
         "_bias",
     )
 
     def __init__(self, rng: random.Random, trend_learning: bool = True):
+        # ``lo + span * r()`` is what ``rng.uniform(lo, hi)`` computes
+        # (``a + (b - a) * random()``), with the same draws in the same order.
+        r = rng.random
+        lo = -INIT_WEIGHT_SCALE
+        span = INIT_WEIGHT_SCALE - lo
         self.weights: List[List[float]] = [
-            [rng.uniform(-INIT_WEIGHT_SCALE, INIT_WEIGHT_SCALE) for _ in range(NUM_PARTS)]
+            [lo + span * r(), lo + span * r(), lo + span * r(),
+             lo + span * r(), lo + span * r(), lo + span * r()]
             for _ in range(NUM_PARTS)
         ]
         self.trend_learning = trend_learning
         self.converged = True
-        self.output_activations: List[float] = [sigmoid(0.0)] * NUM_PARTS
         self.decoded: SubAction = (0,) * NUM_PARTS
         self._bias = _bias_of(self.decoded)
 
@@ -140,11 +154,6 @@ class AutoAssociator:
             out.append(1.0 / (1.0 + math.exp(-BETA * net)))
         return out
 
-    def _set_output(self, out: List[float]) -> None:
-        self.output_activations = out
-        self.decoded = tuple(decode_activation(a) for a in out)
-        self._bias = _bias_of(self.decoded)
-
     def activate(self, sub: SubAction) -> List[float]:
         """Run the pattern through the network and refresh hidden activations.
 
@@ -153,7 +162,8 @@ class AutoAssociator:
         than about the raw stimulus.
         """
         out = self._forward(sub)
-        self._set_output(out)
+        self.decoded = tuple(decode_activation(a) for a in out)
+        self._bias = _bias_of(self.decoded)
         return out
 
     def train(self, sub: SubAction) -> bool:
@@ -164,7 +174,8 @@ class AutoAssociator:
         reported, not fatal: the agent's explicit action stays the ground
         truth and the network only biases invention.  Afterwards the
         network is left as ``activate(sub)`` would leave it: the last
-        forward pass ran on the final weights, so its output is reused.
+        forward pass ran on the final weights, so its output is reused,
+        and on convergence it decodes to ``sub`` itself.
 
         The six outputs are unrolled into locals (see the module docstring
         for why every value is bit-identical to ``_forward``'s).  Neutral
@@ -235,7 +246,12 @@ class AutoAssociator:
                     w[4] -= d4
                     w[5] -= d5
         self.converged = converged
-        self._set_output([o0, o1, o2, o3, o4, o5])
+        if converged:
+            decoded = tuple(sub)  # exact: see the module docstring
+        else:
+            decoded = tuple(decode_activation(o) for o in (o0, o1, o2, o3, o4, o5))
+        self.decoded = decoded
+        self._bias = _bias_of(decoded)
         return converged
 
     def recall(self, sub: SubAction) -> SubAction:

@@ -7,13 +7,14 @@ import hashlib
 import json
 import random
 from dataclasses import asdict, dataclass, fields
-from typing import Callable, Dict, List, Optional, Tuple
+from pathlib import Path
+from typing import Callable, List, Optional, Tuple
 
 from . import agent as agent_ops
-from .actions import ActionChain, NEUTRAL, SubAction, all_subactions
+from .actions import ActionChain, NEUTRAL, all_subactions
 from .agent import Agent
 from .analysis import RunSeries, p_create_histogram
-from .fitness import TemplateSet, fitness_single
+from .fitness import TemplateSet, fitness_single_chain
 from .network import AutoAssociator
 
 MODE_FIXED_ROLES = "fixed_roles"
@@ -108,8 +109,18 @@ class WorldConfig:
             raise ConfigError(f"tau must be positive, got {self.tau}")
         return self
 
+    def digest_fields(self) -> dict:
+        """The fields a digest covers.  A template file the run reads is
+        named by the sha256 of its contents, not by its path, so an edited
+        file changes the digest and a moved one does not."""
+        d = asdict(self)
+        if self.template_file and self.fitness_regime == REGIME_TEMPLATE:
+            contents = Path(self.template_file).read_bytes()
+            d["template_file"] = "sha256:" + hashlib.sha256(contents).hexdigest()
+        return d
+
     def digest(self) -> str:
-        payload = json.dumps(asdict(self), sort_keys=True).encode()
+        payload = json.dumps(self.digest_fields(), sort_keys=True).encode()
         return hashlib.sha256(payload).hexdigest()
 
 
@@ -152,19 +163,7 @@ class World:
             self.evaluate: Callable[[ActionChain], float] = ts.fitness_chain
         else:
             self.template_set = None
-            cache: Dict[SubAction, int] = {}
-
-            def evaluate(chain: ActionChain, _cache=cache) -> float:
-                total = 0
-                for step in chain:
-                    f = _cache.get(step)
-                    if f is None:
-                        f = fitness_single(step)
-                        _cache[step] = f
-                    total += f
-                return total
-
-            self.evaluate = evaluate
+            self.evaluate = fitness_single_chain
 
         # Without chaining every chain is a single step, so no agent can
         # score above the best single step.  Once every agent scores it,

@@ -1,9 +1,11 @@
 """Command-line interface: argument handling, exit codes, and output."""
 
 import json
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
+from culturesim import experiments
 from culturesim import world as world_mod
 from culturesim.cli import main
 from importlib import resources
@@ -139,3 +141,13 @@ def test_run_command_checks_the_template_file_before_any_run(
     assert err.count("\n") == 1
     assert worlds == []
     assert not (tmp_path / "out").exists()
+
+
+def test_a_dead_worker_is_one_error_line(tmp_path, capsys, monkeypatch):
+    def broken(jobs, workers=None):
+        raise BrokenProcessPool("A process in the process pool was terminated abruptly")
+
+    monkeypatch.setattr(experiments, "run_jobs", broken)
+    assert main(["exp2", "--runs", "1", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: A process in the process pool was terminated abruptly\n"

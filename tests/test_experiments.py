@@ -2,9 +2,14 @@
 
 import json
 import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+from culturesim import experiments
 from culturesim.experiments import (
     DESK_TAU,
     ExperimentSpec,
@@ -19,7 +24,7 @@ from culturesim.experiments import (
     run_jobs,
     worker_count,
 )
-from culturesim.world import ConfigError, WorldConfig
+from culturesim.world import ConfigError, MODE_SHARED_P, REGIME_TEMPLATE, WorldConfig
 
 
 def write_config(tmp_path, payload):
@@ -218,3 +223,112 @@ def test_a_failing_job_runs_once_and_raises(tmp_path, workers):
     with pytest.raises(RuntimeError, match="run failed"):
         run_jobs(jobs, workers)
     assert log.read_text() == "run\n"
+
+
+class DyingConfig:
+    """Stands in for a WorldConfig whose worker process dies mid-run, as an
+    OOM kill would end it."""
+
+    def validate(self):
+        os._exit(1)
+
+
+def test_a_dead_worker_fails_the_sweep_instead_of_hanging_it():
+    here = Path(__file__).resolve().parent
+    code = (
+        "from culturesim.experiments import run_jobs\n"
+        "from test_experiments import DyingConfig, tiny_world\n"
+        "run_jobs([(DyingConfig(), 0), (tiny_world(), 0), (tiny_world(), 1)], 2)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(here.parent / "src"), str(here)]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode != 0
+    assert "BrokenProcessPool" in proc.stderr
+
+
+def exp1_dispatch(monkeypatch, tmp_path, grid_c, grid_p, runs=2):
+    """Run a tiny exp1 sweep and return the jobs it dispatched as
+    (C, p, run_index), with the rows of its surface.csv as (C, p)."""
+    dispatched = []
+    real_run_jobs = experiments.run_jobs
+
+    def spy(jobs, workers=None):
+        dispatched.extend(
+            (cfg.creator_fraction, cfg.creator_creativity, r) for cfg, r in jobs)
+        return real_run_jobs(jobs, workers)
+
+    monkeypatch.setattr(experiments, "run_jobs", spy)
+    spec = ExperimentSpec(preset=PRESET_EXP1, grid_c=grid_c, grid_p=grid_p,
+                          runs_per_cell=runs, world=tiny_world(iterations=4),
+                          output_dir=str(tmp_path))
+    execute(spec, workers=1)
+    rows = [tuple(float(v) for v in line.split(",")[:2])
+            for line in (tmp_path / "surface.csv").read_text().splitlines()[1:]]
+    return dispatched, rows
+
+
+def test_exp1_dispatches_the_most_inventive_cells_first(monkeypatch, tmp_path):
+    grid_c, grid_p = (0.2, 0.5, 1.0), (0.4, 1.0, 0.2)
+    dispatched, rows = exp1_dispatch(monkeypatch, tmp_path, grid_c, grid_p)
+    products = [c * p for c, p, _ in dispatched]
+    assert products == sorted(products, reverse=True)
+    # C*p ties at 0.2 three times; the stable sort keeps them in grid order.
+    order = [
+        (1.0, 1.0), (0.5, 1.0), (1.0, 0.4),
+        (0.2, 1.0), (0.5, 0.4), (1.0, 0.2),
+        (0.5, 0.2), (0.2, 0.4), (0.2, 0.2),
+    ]
+    assert dispatched == [(c, p, r) for c, p in order for r in range(2)]
+    # The corner is in the grid, so it is not run a second time as baseline.
+    assert rows == [(c, p) for c in grid_c for p in grid_p]
+
+
+def test_exp1_dispatches_an_outside_baseline_first(monkeypatch, tmp_path):
+    dispatched, rows = exp1_dispatch(monkeypatch, tmp_path, (0.2, 0.4), (0.2, 0.6))
+    assert dispatched == [
+        (1.0, 1.0, 0), (1.0, 1.0, 1),
+        (0.4, 0.6, 0), (0.4, 0.6, 1),
+        (0.2, 0.6, 0), (0.2, 0.6, 1),
+        (0.4, 0.2, 0), (0.4, 0.2, 1),
+        (0.2, 0.2, 0), (0.2, 0.2, 1),
+    ]
+    assert rows == [(0.2, 0.2), (0.2, 0.6), (0.4, 0.2), (0.4, 0.6)]
+
+
+def template_spec(path):
+    world = WorldConfig(mode=MODE_SHARED_P, fitness_regime=REGIME_TEMPLATE,
+                        template_file=str(path))
+    return ExperimentSpec(world=world)
+
+
+def test_digests_cover_template_contents_not_their_path(tmp_path):
+    text = '["0*****", "01-1***"]'
+    first, second = tmp_path / "a.json", tmp_path / "sub" / "b.json"
+    second.parent.mkdir()
+    first.write_text(text)
+    second.write_text(text)
+    a, b = template_spec(first), template_spec(second)
+    assert a.world.digest() == b.world.digest()
+    assert a.digest() == b.digest()
+
+    second.write_text('["0*****"]')
+    assert a.world.digest() != b.world.digest()
+    assert a.digest() != b.digest()
+    # Outside the template regime the file is never read, not even by
+    # the digest, so a config naming a missing one still runs.
+    assert WorldConfig(template_file=str(tmp_path / "missing.json")).digest()
+
+
+def test_digests_without_a_template_file_are_unchanged(tmp_path):
+    # Recorded before template contents were hashed: a spec that names no
+    # template file keeps its digest, so preset manifests do not change.
+    assert WorldConfig().digest() == (
+        "f1ea4cf3b3f4612c19b43336ed7e5c083ff5867010f0c9edb5d739caa52392e4")
+    spec = preset_spec(PRESET_EXP2, runs=1, seed=0, out=str(tmp_path))
+    spec = replace(spec, world=replace(spec.world, lattice_side=4, iterations=5))
+    execute(spec, workers=1)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["config_digest"] == (
+        "f591413eeb00cdb4754204494c869fa12d9b31eec6bb23e1c42414c23ad653f7")

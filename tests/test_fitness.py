@@ -9,9 +9,11 @@ import pytest
 from culturesim.actions import all_subactions, parse_subaction, parse_template
 from culturesim.fitness import (
     ACCEPTABLE_SUBACTIONS,
+    ScoreTable,
     TemplateSet,
     fitness_chain,
     fitness_single,
+    fitness_single_chain,
     fitness_subaction,
     is_successful,
     max_fitness_single,
@@ -145,3 +147,30 @@ def test_subaction_fitness_wrapper_uses_cache():
     ts = TemplateSet.default()
     sub = parse_subaction("01-11-11")
     assert fitness_subaction(sub, ts) == ts.fitness_subaction(sub)
+
+
+def test_score_table_scores_each_subaction_once_on_first_lookup():
+    scored = []
+
+    def score(sub):
+        scored.append(sub)
+        return fitness_single(sub)
+
+    table = ScoreTable(score)
+    assert len(table) == 0
+    a, b = parse_subaction("011111"), parse_subaction("000000")
+    assert table[a] == 39 and table[a] == 39 and table[b] == 0
+    assert scored == [a, b]
+    assert dict(table) == {a: 39, b: 0}
+
+
+def test_chain_scores_sum_their_step_tables():
+    subs = list(all_subactions())
+    chain = tuple(subs[::37])
+    assert fitness_single_chain(chain) == sum(
+        reference_fitness_single(s) for s in chain)
+    ts = TemplateSet.default()
+    assert ts.fitness_chain(chain) == sum(
+        reference_template_fitness(s, ts.templates) for s in chain)
+    assert type(ts.fitness_chain(chain)) is int
+    assert type(fitness_single_chain(chain)) is int

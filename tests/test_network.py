@@ -293,3 +293,20 @@ def test_training_a_fresh_net_on_neutral_changes_nothing():
     assert net.train(NEUTRAL)
     after = (net.weights, net.decoded, net.converged, net.invention_bias(), net.hidden)
     assert after == before
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+def test_converged_training_decodes_to_the_trained_pattern(seed):
+    # train() takes ``decoded`` from ``sub`` when it converges instead of
+    # decoding its outputs; recall() decodes the outputs explicitly.
+    subs = list(all_subactions())
+    for sub in subs:
+        net = fresh_net(seed)
+        assert net.train(sub)
+        assert net.decoded == sub == net.recall(sub)
+    net = fresh_net(seed)
+    rng = random.Random(2000 + seed)
+    for _ in range(2000):
+        sub = rng.choice(subs[:40] if rng.random() < 0.5 else subs)
+        assert net.train(sub)
+        assert net.decoded == sub == net.recall(sub)
