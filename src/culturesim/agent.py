@@ -7,11 +7,11 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 from .actions import ActionChain, SYMMETRIC_PARTNER, SubAction
 from .fitness import TemplateSet
-from .network import AutoAssociator
+from .network import AutoAssociator, LastPattern
 
 CREATE = "create"
 IMITATE = "imitate"
@@ -26,7 +26,7 @@ class Agent:
     p_create: float
     chain: ActionChain
     fitness: float
-    net: AutoAssociator
+    net: Union[AutoAssociator, LastPattern]
     rng: random.Random
 
 

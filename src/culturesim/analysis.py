@@ -11,8 +11,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 HIST_BINS = 10
-SEGREGATION_LOW = 0.1
-SEGREGATION_HIGH = 0.9
 
 
 @dataclass

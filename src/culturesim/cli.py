@@ -59,12 +59,17 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     horizon = len(series)
     ttt = time_to_threshold(series, args.tau)
     rate = discount_rate(args.rate) if args.rate > 1.0 else args.rate
-    print(f"horizon={horizon}")
-    print(f"ttt={ttt}" + (" (censored)" if ttt > horizon else ""))
-    print(f"npv={fmt(npv(series, rate))}")
+    # Everything is computed before the first line is printed, so a bad
+    # rate or baseline ends in an error alone, not after partial output.
+    lines = [
+        f"horizon={horizon}",
+        f"ttt={ttt}" + (" (censored)" if ttt > horizon else ""),
+        f"npv={fmt(npv(series, rate))}",
+    ]
     if args.baseline:
         baseline = _read_series(args.baseline)
-        print(f"piv={fmt(piv(series, baseline))}")
+        lines.append(f"piv={fmt(piv(series, baseline))}")
+    print("\n".join(lines))
     return 0
 
 

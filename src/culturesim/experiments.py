@@ -168,7 +168,10 @@ def apply_preset(spec: ExperimentSpec) -> ExperimentSpec:
 def worker_count() -> int:
     raw = os.environ.get(WORKERS_ENV, "").strip()
     if raw:
-        n = int(raw)
+        try:
+            n = int(raw)
+        except ValueError:
+            raise ConfigError(f"{WORKERS_ENV} must be an integer, got {raw!r}") from None
         if n < 1:
             raise ConfigError(f"{WORKERS_ENV} must be >= 1, got {n}")
         return n

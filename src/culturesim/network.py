@@ -32,8 +32,58 @@ target ``t`` of 0.1, 0.5 or 0.9, which puts ``o`` in (0.05, 0.15),
 (0.45, 0.55) or (0.85, 0.95).  Against the DECODE_LOW = 0.33 and
 DECODE_HIGH = 0.67 thresholds these intervals decode to -1, 0 and +1
 with a margin of at least 0.12, far above any rounding error, so the
-decoded trit always equals the input trit.  Only a run that exhausts
-MAX_EPOCHS decodes its outputs.
+decoded trit always equals the input trit.  A run that exhausts
+MAX_EPOCHS decodes its six outputs instead; it too can decode to its
+input, and within a fresh network's first DECODE_SAFE_CALLS calls it
+always does, as shown next.
+
+Training can fail to converge: ``tests/test_network.py`` holds ten calls
+on a fresh network whose tenth exhausts the epoch budget.  But the
+simulation reads a network only through ``invention_bias``, a function
+of the decoded pattern, and a fresh network's first DECODE_SAFE_CALLS
+calls always decode to the pattern they were trained on:
+
+* *1-D reduction.*  Output j's weights (column ``w[.][j]``) change only
+  by +/-d_j on the active rows, that is by d_j times the pattern x.  So,
+  in exact arithmetic, each output's net input follows
+  ``n <- n + k * LEARNING_RATE * (t - o) * o * (1 - o)`` with
+  ``o = 1 / (1 + exp(-BETA * n))``, where k is the number of active
+  inputs.  The outputs are coupled only through the shared epoch count
+  E: the call stops once all six are within CONVERGENCE_TOL of target,
+  or after MAX_EPOCHS updates, so E is at least the output's own first
+  epoch inside that band.
+* *Potential.*  Let ``f = ln 9 / BETA``, about 14.648, the net input
+  where the sigmoid is 0.9, and ``Phi_j = |w[.][j] - f e_j|^2``.  Let
+  ``mu = THETA + f x_j``, the output's fixed point plus THETA for every
+  target.  A call moves column j along x, so it changes Phi_j by
+  ``[(m - mu)^2 - (n - mu)^2] / k``, where n and m are the net inputs at
+  the start and the end of the call.  Over every start n and every stop
+  epoch E that the call allows, this is at most C, about 0.4365.  The
+  worst case is k = 5 with target 0.5 and one overshooting update; real
+  calls reach it, so the bound is tight.
+* *Decode safety.*  Once an output is within CONVERGENCE_TOL of target
+  the 1-D map keeps it there, so an output decodes wrongly only if it
+  never reaches that band within MAX_EPOCHS updates.  That needs
+  ``|n - mu| > sqrt(k) * R`` with R about 19.28: with k = 5 and target
+  0.5, a start with |n| >= 43.6 still lies on the wrong side of
+  DECODE_LOW or DECODE_HIGH after 50 updates.  As ``n - mu`` is x
+  dotted with ``w[.][j] - f e_j``, Cauchy-Schwarz gives
+  ``|n - mu| <= sqrt(k * Phi_j)``, so a call decodes to its input when
+  every ``Phi_j <= R^2``, about 371.8.
+* *Start and budget.*  Init weights lie in [-0.1, 0.1], so a fresh
+  network has ``Phi_j <= (f + 0.1)^2 + 5 * 0.1^2``, about 217.56.  Each
+  call adds at most C, so each of the first
+  ``floor((R^2 - 217.56) / C) + 1``, about 354, calls decodes to its
+  input, whether it converges or not.
+
+These constants come from 1-D grids.  ``tests/test_network_bound.py``
+recomputes them with C inflated, R deflated and an allowance for float
+rounding, and checks that DECODE_SAFE_CALLS fits the budget.  An agent
+trains at most once per ``World.step``, so in a run of at most
+DECODE_SAFE_CALLS iterations ``World`` gives each agent a
+``LastPattern``, which keeps only the bias of the last trained pattern.
+``AutoAssociator`` stays the reference model and the network of longer
+runs.
 """
 
 from __future__ import annotations
@@ -73,8 +123,10 @@ FIXED_HIDDEN_WEIGHTS: Tuple[Tuple[int, ...], ...] = (
     (0, 1, -1, 1, -1, 0),  # OPPOSITE
     (1, 1, 1, 1, 1, 1),    # MOVEMENT
 )
-_MOVEMENT_ROW = HIDDEN_NODES.index("MOVEMENT")
-_SYMMETRY_ROW = HIDDEN_NODES.index("SYMMETRY")
+
+# Training calls on a fresh network that provably decode to their input
+# (see the module docstring); at most the proven budget of about 354.
+DECODE_SAFE_CALLS = 250
 
 
 def sigmoid(net: float) -> float:
@@ -263,3 +315,23 @@ class AutoAssociator:
         if not self.trend_learning:
             return 0.5, 0.5
         return self._bias
+
+
+class LastPattern:
+    """All that the simulation reads of an ``AutoAssociator`` during its
+    first DECODE_SAFE_CALLS training calls: the invention bias of the last
+    trained pattern, which is what each of those calls decodes to."""
+
+    __slots__ = ("trend_learning", "_bias")
+
+    def __init__(self, rng: random.Random, trend_learning: bool = True):
+        # AutoAssociator draws 36 random() values, two 32-bit Mersenne
+        # Twister words each; consuming the 72 words leaves the same state.
+        rng.getrandbits(72 * 32)
+        self.trend_learning = trend_learning
+        self._bias = _bias_of((0,) * NUM_PARTS)
+
+    def train(self, sub: SubAction) -> None:
+        self._bias = _bias_of(sub)
+
+    invention_bias = AutoAssociator.invention_bias

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import random
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -15,7 +16,7 @@ from .actions import ActionChain, NEUTRAL, all_subactions
 from .agent import Agent
 from .analysis import RunSeries, p_create_histogram
 from .fitness import TemplateSet, fitness_single_chain
-from .network import AutoAssociator
+from .network import DECODE_SAFE_CALLS, AutoAssociator, LastPattern
 
 MODE_FIXED_ROLES = "fixed_roles"
 MODE_SHARED_P = "shared_p"
@@ -49,14 +50,25 @@ _FIELD_TYPES = {
 }
 
 
+def _is_finite(value) -> bool:
+    """False for a NaN or infinite float, alone or in a grid.  ``nan <= 0``
+    is false, so range checks would let one through to the run and to a
+    non-standard ``NaN`` in ``config.json``."""
+    values = value if isinstance(value, tuple) else (value,)
+    return not any(isinstance(v, float) and not math.isfinite(v) for v in values)
+
+
 def check_field_types(config) -> None:
     """Raise ConfigError for the first dataclass field whose value does not
-    have its declared type, so no comparison or run ever sees it."""
+    have its declared type or is not finite, so no comparison or run ever
+    sees it."""
     for f in fields(config):
         kind, ok = _FIELD_TYPES[f.type]
         value = getattr(config, f.name)
         if not ok(value):
             raise ConfigError(f"{f.name} must be {kind}, got {value!r}")
+        if not _is_finite(value):
+            raise ConfigError(f"{f.name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -184,10 +196,16 @@ class World:
 
         initial_chain: ActionChain = (NEUTRAL,)
         initial_fitness = self.evaluate(initial_chain)
+        # An agent trains at most once per step, so within a horizon of at
+        # most DECODE_SAFE_CALLS its network decodes every pattern it is
+        # trained on (network.py), and only the last one is ever read.
+        net_class = (
+            LastPattern if cfg.iterations <= DECODE_SAFE_CALLS else AutoAssociator
+        )
         self.agents: List[Agent] = []
         for i in range(n):
             rng = random.Random(derive_seed(cfg.base_seed, run_index, i))
-            net = AutoAssociator(rng, trend_learning=cfg.trend_learning)
+            net = net_class(rng, trend_learning=cfg.trend_learning)
             if cfg.mode == MODE_FIXED_ROLES:
                 p_create = cfg.creator_creativity if i in creator_cells else 0.0
             else:

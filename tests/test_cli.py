@@ -151,3 +151,42 @@ def test_a_dead_worker_is_one_error_line(tmp_path, capsys, monkeypatch):
     assert main(["exp2", "--runs", "1", "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert err == "error: A process in the process pool was terminated abruptly\n"
+
+
+@pytest.mark.parametrize("tau", [float("nan"), float("inf")], ids=["nan", "infinity"])
+def test_run_command_rejects_non_finite_numbers(tmp_path, capsys, tau):
+    # json writes these as NaN and Infinity, which json.load reads back.
+    # nan <= 0 is false, so the range check alone let NaN through.
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({
+        "runs_per_cell": 1, "output_dir": str(tmp_path / "out"), "world": {"tau": tau},
+    }))
+    assert main(["run", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: tau must be finite, got {tau!r}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_command_names_a_bad_workers_variable(tmp_path, capsys, monkeypatch):
+    worlds = []
+    monkeypatch.setattr(world_mod.World, "__init__", lambda self, *a: worlds.append(a))
+    monkeypatch.setenv(experiments.WORKERS_ENV, "abc")
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({
+        "runs_per_cell": 2, "output_dir": str(tmp_path / "out"),
+        "world": {"lattice_side": 4, "iterations": 3},
+    }))
+    assert main(["run", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: CULTURESIM_WORKERS must be an integer, got 'abc'\n"
+    assert worlds == []
+    assert not (tmp_path / "out").exists()
+
+
+def test_analyze_prints_nothing_before_a_bad_rate(tmp_path, capsys):
+    series = tmp_path / "series.csv"
+    series.write_text("iter,mean_fitness\n1,2.0\n2,4.0\n")
+    assert main(["analyze", str(series), "--tau", "3", "--rate", "-3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: discount rate must be in (0, 1], got -3.0\n"

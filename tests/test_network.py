@@ -310,3 +310,24 @@ def test_converged_training_decodes_to_the_trained_pattern(seed):
         sub = rng.choice(subs[:40] if rng.random() < 0.5 else subs)
         assert net.train(sub)
         assert net.decoded == sub == net.recall(sub)
+
+
+def test_training_alone_can_exhaust_the_epoch_budget_and_still_decode():
+    # Ten calls on a fresh network whose tenth does not converge: the
+    # first non-convergence reached by training alone (the saturated test
+    # above sets its weights by hand).  Within a fresh network's first
+    # DECODE_SAFE_CALLS calls, such a call still decodes to its input.
+    patterns = [
+        (0, 0, 0, -1, 0, 0), (0, -1, 0, -1, 0, 0), (-1, -1, -1, 1, 1, 1),
+        (-1, 0, 0, 0, 0, 0), (-1, 0, -1, 1, -1, -1), (-1, -1, 1, -1, 0, 1),
+        (0, 1, -1, -1, -1, -1), (-1, 1, -1, 0, 1, 1), (1, 1, -1, -1, -1, 0),
+        (1, -1, 1, -1, 1, 1),
+    ]
+    net = AutoAssociator(random.Random(1))
+    converged = []
+    for sub in patterns:
+        converged.append(net.train(sub))
+        assert net.decoded == sub
+    assert converged == [True] * 9 + [False]
+    assert not net.converged
+    assert net.recall(patterns[-1]) == patterns[-1]
