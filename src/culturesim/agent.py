@@ -9,7 +9,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple, Union
 
-from .actions import ActionChain, SYMMETRIC_PARTNER, SubAction
+from .actions import ActionChain, SubAction
 from .fitness import TemplateSet
 from .network import AutoAssociator, LastPattern
 
@@ -63,16 +63,37 @@ def draw_position(
 def mutate_subaction(
     base: SubAction, movement_bias: float, symmetry_bias: float, rng: random.Random
 ) -> SubAction:
-    """Flip each component with probability 1/6 (one change on average)."""
-    parts = list(base)
+    """Flip each component with probability 1/6 (one change on average).
+
+    The six components are written out in order.  A flipped limb copies
+    its symmetric partner as it stands in ``base`` (arms 1 and 2, legs 3
+    and 4); head (0) and hips (5) have partner 0.  With no flip, ``base``
+    itself is returned.
+    """
+    random_ = rng.random
+    head, l_arm, r_arm, l_leg, r_leg, hips = base
     changed = False
-    for j in range(6):
-        if rng.random() < FLIP_PROBABILITY:
-            partner_idx = SYMMETRIC_PARTNER.get(j)
-            partner = base[partner_idx] if partner_idx is not None else 0
-            parts[j] = draw_position(base[j], partner, movement_bias, symmetry_bias, rng)
-            changed = True
-    return tuple(parts) if changed else base
+    if random_() < FLIP_PROBABILITY:
+        head = draw_position(head, 0, movement_bias, symmetry_bias, rng)
+        changed = True
+    if random_() < FLIP_PROBABILITY:
+        l_arm = draw_position(l_arm, r_arm, movement_bias, symmetry_bias, rng)
+        changed = True
+    if random_() < FLIP_PROBABILITY:
+        r_arm = draw_position(r_arm, base[1], movement_bias, symmetry_bias, rng)
+        changed = True
+    if random_() < FLIP_PROBABILITY:
+        l_leg = draw_position(l_leg, r_leg, movement_bias, symmetry_bias, rng)
+        changed = True
+    if random_() < FLIP_PROBABILITY:
+        r_leg = draw_position(r_leg, base[3], movement_bias, symmetry_bias, rng)
+        changed = True
+    if random_() < FLIP_PROBABILITY:
+        hips = draw_position(hips, 0, movement_bias, symmetry_bias, rng)
+        changed = True
+    if changed:
+        return (head, l_arm, r_arm, l_leg, r_leg, hips)
+    return base
 
 
 def extend_chain(
@@ -83,16 +104,19 @@ def extend_chain(
     symmetry_bias: float,
     rng: random.Random,
 ) -> ActionChain:
-    """Append novel, acceptable sub-actions until the first failed candidate."""
-    steps = list(steps)
-    while len(steps) < max_chain_length:
-        if not ts.is_successful(steps[-1]):
+    """Append novel, acceptable sub-actions until the first failed candidate.
+
+    Appends are rare, so the chain grows by tuple concatenation and a call
+    that appends nothing copies nothing: ``tuple(steps)`` is ``steps``
+    itself for a tuple.
+    """
+    chain = tuple(steps)
+    while len(chain) < max_chain_length and ts.is_successful(chain[-1]):
+        candidate = mutate_subaction(chain[-1], movement_bias, symmetry_bias, rng)
+        if candidate == chain[-1] or not ts.is_successful(candidate):
             break
-        candidate = mutate_subaction(steps[-1], movement_bias, symmetry_bias, rng)
-        if candidate == steps[-1] or not ts.is_successful(candidate):
-            break
-        steps.append(candidate)
-    return tuple(steps)
+        chain += (candidate,)
+    return chain
 
 
 def invent(
@@ -104,14 +128,15 @@ def invent(
     """Produce a candidate chain by mutating the final step of the current one.
 
     Earlier steps are immutable; in chaining mode the extension loop may
-    append further acceptable steps.
+    append further acceptable steps.  It is entered only when the new
+    final step is acceptable, which is its own first test.
     """
     movement_bias, symmetry_bias = agent.net.invention_bias()
     new_final = mutate_subaction(agent.chain[-1], movement_bias, symmetry_bias, agent.rng)
     steps = agent.chain[:-1] + (new_final,)
     if len(steps) > 1 and steps[-1] == steps[-2]:
         return agent.chain  # mutation collided with the previous step
-    if chaining_enabled:
+    if chaining_enabled and ts.is_successful(new_final):
         steps = extend_chain(
             steps, ts, max_chain_length, movement_bias, symmetry_bias, agent.rng
         )
@@ -124,16 +149,14 @@ _PERMUTATIONS_4 = tuple(itertools.permutations(range(4)))
 def imitate(
     agent: Agent, neighbors: Sequence[Tuple[ActionChain, float]]
 ) -> Optional[Tuple[ActionChain, float]]:
-    """Lazy scan: neighbors in random order, first strictly fitter one wins."""
-    if len(neighbors) == 4:
-        order = _PERMUTATIONS_4[int(agent.rng.random() * 24)]
-    else:
-        order = agent.rng.sample(range(len(neighbors)), len(neighbors))
+    """Lazy scan: the four neighbours in a random order drawn with one
+    ``random()``; the first strictly fitter one wins, and its
+    ``(chain, fitness)`` pair is returned as it stands."""
     own = agent.fitness
-    for idx in order:
-        chain, fit = neighbors[idx]
-        if fit > own:
-            return chain, fit
+    for idx in _PERMUTATIONS_4[int(agent.rng.random() * 24)]:
+        pair = neighbors[idx]
+        if pair[1] > own:
+            return pair
     return None
 
 
@@ -171,5 +194,7 @@ def update_p_create(agent: Agent, mean_fitness_prev: float) -> None:
     """
     if mean_fitness_prev == 0:
         return
-    rf = agent.fitness / mean_fitness_prev
-    agent.p_create = min(1.0, max(0.0, agent.p_create * rf))
+    p = agent.p_create * (agent.fitness / mean_fitness_prev)
+    # min(1.0, max(0.0, p)) without the calls, bit for bit: NaN and -0.0
+    # fail ``p > 0.0`` and give 0.0, as max(0.0, p) does.
+    agent.p_create = 1.0 if p >= 1.0 else p if p > 0.0 else 0.0

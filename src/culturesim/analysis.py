@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 HIST_BINS = 10
 
@@ -19,7 +19,7 @@ class RunSeries:
 
     mean_fitness: List[float]
     diversity: List[int]
-    p_create_hist: Optional[List[Tuple[int, ...]]]
+    p_create_hist: List[Tuple[int, ...]]
     config_digest: str
     run_index: int
 
@@ -72,11 +72,17 @@ def piv(series: Sequence[float], baseline: Sequence[float]) -> float:
 
 
 def p_create_histogram(values: Sequence[float]) -> Tuple[int, ...]:
-    """10-bin histogram over [0, 1]; the top bin includes 1.0 exactly."""
+    """10-bin histogram over [0, 1]; the top bin includes 1.0 exactly.
+
+    The bin is ``min(int(v * HIST_BINS), HIST_BINS - 1)`` written as a
+    conditional, which is the same int for every int, so out-of-range
+    values index (or fail to index) the same bin.
+    """
+    top = HIST_BINS - 1
     counts = [0] * HIST_BINS
     for v in values:
-        idx = min(int(v * HIST_BINS), HIST_BINS - 1)
-        counts[idx] += 1
+        i = int(v * HIST_BINS)
+        counts[i if i < top else top] += 1
     return tuple(counts)
 
 
@@ -153,15 +159,13 @@ def average_series(runs: Sequence[RunSeries]) -> Dict[str, List[float]]:
     for t in range(horizon):
         lows, mids, highs = [], [], []
         for r in runs:
-            if r.p_create_hist is None:
-                continue
             lo, hi, mid = segregation_stats(r.p_create_hist[t])
             lows.append(lo)
             mids.append(mid)
             highs.append(hi)
-        frac_low.append(sum(lows) / len(lows) if lows else 0.0)
-        frac_mid.append(sum(mids) / len(mids) if mids else 0.0)
-        frac_high.append(sum(highs) / len(highs) if highs else 0.0)
+        frac_low.append(sum(lows) / n)
+        frac_mid.append(sum(mids) / n)
+        frac_high.append(sum(highs) / n)
     return {
         "mean_fitness": mean_fitness,
         "diversity": diversity,

@@ -19,6 +19,7 @@ from .experiments import (
     fmt,
     load_config,
     preset_spec,
+    run_spec,
 )
 from .fitness import TemplateSet
 from .world import ConfigError
@@ -38,7 +39,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         from dataclasses import replace
 
         spec = replace(spec, output_dir=args.out)
-    written = execute(spec)
+    written = run_spec(spec)
     for path in written:
         print(path)
     return 0

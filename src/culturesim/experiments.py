@@ -72,7 +72,7 @@ class ExperimentSpec:
                     raise ConfigError(f"{name} values must be in [0, 1], got {v}")
         self.world.validate()
         w = self.world
-        if w.template_file and w.fitness_regime == REGIME_TEMPLATE:
+        if w.template_file:
             # Fail here, before any run starts, not inside every worker.
             try:
                 TemplateSet.from_file(w.template_file)
@@ -101,6 +101,22 @@ class ExperimentSpec:
 
 _WORLD_FIELDS = set(WorldConfig.__dataclass_fields__)
 _SPEC_FIELDS = set(ExperimentSpec.__dataclass_fields__) - {"world"}
+
+# The world settings each preset's design requires.
+PRESET_WORLD = {
+    PRESET_EXP1: dict(
+        mode=MODE_FIXED_ROLES,
+        sr_enabled=False,
+        chaining_enabled=False,
+        fitness_regime=REGIME_SINGLE_STEP,
+    ),
+    PRESET_EXP2: dict(
+        mode=MODE_SHARED_P, chaining_enabled=False, fitness_regime=REGIME_SINGLE_STEP
+    ),
+    PRESET_EXP3: dict(
+        mode=MODE_SHARED_P, chaining_enabled=True, fitness_regime=REGIME_TEMPLATE
+    ),
+}
 
 
 def load_config(path: str) -> ExperimentSpec:
@@ -133,35 +149,30 @@ def load_config(path: str) -> ExperimentSpec:
         spec = ExperimentSpec(world=world, **raw)
     except TypeError as exc:
         raise ConfigError(f"bad config value: {exc}")
-    return apply_preset(spec).validate()
+    check_field_types(spec)
+    check_field_types(world)
+    # The preset decides on the keys the file gives, not on the values
+    # they leave at their defaults: a key the preset would force to
+    # another value is an error, and an explicit exp1 tau is kept.
+    forced = PRESET_WORLD.get(spec.preset, {})
+    for key, value in forced.items():
+        if key in world_raw and world_raw[key] != value:
+            raise ConfigError(
+                f"preset {spec.preset} runs with {key}={value!r}, "
+                f"but the config gives {world_raw[key]!r}"
+            )
+    world = replace(world, **forced)
+    if spec.preset == PRESET_EXP1 and "tau" not in world_raw:
+        world = replace(world, tau=DESK_TAU)
+    return replace(spec, world=world).validate()
 
 
 def apply_preset(spec: ExperimentSpec) -> ExperimentSpec:
-    """Force the world settings each preset's design requires."""
-    w = spec.world
-    if spec.preset == PRESET_EXP1:
-        w = replace(
-            w,
-            mode=MODE_FIXED_ROLES,
-            sr_enabled=False,
-            chaining_enabled=False,
-            fitness_regime=REGIME_SINGLE_STEP,
-            tau=w.tau if w.tau != WorldConfig.tau else DESK_TAU,
-        )
-    elif spec.preset == PRESET_EXP2:
-        w = replace(
-            w,
-            mode=MODE_SHARED_P,
-            chaining_enabled=False,
-            fitness_regime=REGIME_SINGLE_STEP,
-        )
-    elif spec.preset == PRESET_EXP3:
-        w = replace(
-            w,
-            mode=MODE_SHARED_P,
-            chaining_enabled=True,
-            fitness_regime=REGIME_TEMPLATE,
-        )
+    """Force the world settings each preset's design requires.  An exp1
+    tau left at the WorldConfig default becomes the desk threshold."""
+    w = replace(spec.world, **PRESET_WORLD.get(spec.preset, {}))
+    if spec.preset == PRESET_EXP1 and w.tau == WorldConfig.tau:
+        w = replace(w, tau=DESK_TAU)
     return replace(spec, world=w)
 
 
@@ -337,7 +348,15 @@ def execute_paired_sr(spec: ExperimentSpec, workers: Optional[int] = None) -> Li
 
 
 def execute(spec: ExperimentSpec, workers: Optional[int] = None) -> List[Path]:
-    spec = apply_preset(spec).validate()
+    """Apply the preset's settings to ``spec`` (``apply_preset``) and run it."""
+    return run_spec(apply_preset(spec), workers)
+
+
+def run_spec(spec: ExperimentSpec, workers: Optional[int] = None) -> List[Path]:
+    """Run ``spec`` as it stands.  ``load_config`` returns specs whose
+    preset settings are decided already; ``apply_preset`` would turn an
+    explicit exp1 tau of 9.0 into the desk threshold."""
+    spec = spec.validate()
     if spec.preset == PRESET_EXP1:
         return execute_exp1(spec, workers)
     if spec.preset in (PRESET_EXP2, PRESET_EXP3):

@@ -16,6 +16,7 @@ the scores are ints, so the sum is exact on every Python version.
 
 from __future__ import annotations
 
+import functools
 import json
 from importlib import resources
 from pathlib import Path
@@ -64,10 +65,6 @@ def fitness_single(sub: SubAction) -> int:
     return m + 2 * m_u + 10 * m_h + 5 * (s_a + s_l) + 2 * (p_a + p_l)
 
 
-def max_fitness_single() -> int:
-    return max(fitness_single(s) for s in all_subactions())
-
-
 class ScoreTable(dict):
     """Sub-action -> score of a pure scoring function.  A sub-action is
     scored on its first lookup and stored, so the table fills lazily: a
@@ -76,13 +73,25 @@ class ScoreTable(dict):
     def __init__(self, score: Callable[[SubAction], int]):
         super().__init__()
         self.score = score
+        self._best = None
 
     def __missing__(self, sub: SubAction) -> int:
         value = self[sub] = self.score(sub)
         return value
 
+    def best(self) -> int:
+        """The best score over all 729 sub-actions, computed once per table."""
+        if self._best is None:
+            self._best = max(self[s] for s in all_subactions())
+        return self._best
 
-_single_step_score = ScoreTable(fitness_single).__getitem__
+
+SINGLE_STEP_SCORES = ScoreTable(fitness_single)
+_single_step_score = SINGLE_STEP_SCORES.__getitem__
+
+
+def max_fitness_single() -> int:
+    return SINGLE_STEP_SCORES.best()
 
 
 def fitness_single_chain(chain: ActionChain) -> int:
@@ -117,7 +126,7 @@ class TemplateSet:
             raise ValueError("template set is empty")
         self.acceptable = ACCEPTABLE_SUBACTIONS
         self._orders = tuple(template_order(t) for t in self.templates)
-        self._cache = ScoreTable(self._score)
+        self.scores = ScoreTable(self._score)
         self._acceptable_set = frozenset(self.acceptable)
 
     @classmethod
@@ -138,7 +147,9 @@ class TemplateSet:
         return cls(templates)
 
     @classmethod
+    @functools.lru_cache(maxsize=None)
     def default(cls) -> "TemplateSet":
+        """The shipped set, parsed once per process: it is package data."""
         with resources.as_file(
             resources.files("culturesim.data") / "default_templates.json"
         ) as path:
@@ -153,22 +164,10 @@ class TemplateSet:
 
     def fitness_subaction(self, sub: SubAction) -> int:
         """Summed order of every matching template."""
-        return self._cache[sub]
+        return self.scores[sub]
 
     def is_successful(self, sub: SubAction) -> bool:
         return sub in self._acceptable_set
 
     def fitness_chain(self, chain: ActionChain) -> int:
-        return sum(map(self._cache.__getitem__, chain))
-
-
-def fitness_subaction(sub: SubAction, ts: TemplateSet) -> int:
-    return ts.fitness_subaction(sub)
-
-
-def is_successful(sub: SubAction, ts: TemplateSet) -> bool:
-    return ts.is_successful(sub)
-
-
-def fitness_chain(chain: ActionChain, ts: TemplateSet) -> int:
-    return ts.fitness_chain(chain)
+        return sum(map(self.scores.__getitem__, chain))

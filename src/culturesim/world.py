@@ -12,10 +12,10 @@ from pathlib import Path
 from typing import Callable, List, Optional, Tuple
 
 from . import agent as agent_ops
-from .actions import ActionChain, NEUTRAL, all_subactions
+from .actions import ActionChain, NEUTRAL
 from .agent import Agent
 from .analysis import RunSeries, p_create_histogram
-from .fitness import TemplateSet, fitness_single_chain
+from .fitness import SINGLE_STEP_SCORES, TemplateSet, fitness_single_chain
 from .network import DECODE_SAFE_CALLS, AutoAssociator, LastPattern
 
 MODE_FIXED_ROLES = "fixed_roles"
@@ -115,6 +115,9 @@ class WorldConfig:
             )
         if self.chaining_enabled and self.fitness_regime != REGIME_TEMPLATE:
             raise ConfigError("chaining_enabled requires the template fitness regime")
+        if self.template_file and self.fitness_regime != REGIME_TEMPLATE:
+            # It would never be read, so the run would not be the one named.
+            raise ConfigError("template_file requires the template fitness regime")
         if self.max_chain_length < 1:
             raise ConfigError(f"max_chain_length must be >= 1, got {self.max_chain_length}")
         if self.tau <= 0:
@@ -173,18 +176,18 @@ class World:
             )
             self.template_set = ts
             self.evaluate: Callable[[ActionChain], float] = ts.fitness_chain
+            scores = ts.scores
         else:
             self.template_set = None
             self.evaluate = fitness_single_chain
+            scores = SINGLE_STEP_SCORES
 
         # Without chaining every chain is a single step, so no agent can
         # score above the best single step.  Once every agent scores it,
         # adoption (strictly fitter only) can change no chain and the SR
         # ratio is exactly 1, so no later iteration can change anything.
         self.absorbing_fitness: Optional[float] = (
-            None
-            if cfg.chaining_enabled
-            else max(self.evaluate((s,)) for s in all_subactions())
+            None if cfg.chaining_enabled else scores.best()
         )
 
         n = cfg.n_agents
@@ -277,15 +280,19 @@ class World:
                 agent_ops.update_p_create(a, mean_fit)
 
         self.iteration += 1
+        self.snapshot = [(a.chain, a.fitness) for a in self.agents]
         self.series.mean_fitness.append(mean_fit)
-        self.series.diversity.append(len({a.chain for a in self.agents}))
+        # Imitation shares chain objects, so each distinct object is hashed
+        # once.  Ids are unique among live objects, and the agents hold
+        # every chain alive while it is counted.
+        chains = {id(c): c for c, _ in self.snapshot}
+        self.series.diversity.append(len(set(chains.values())))
         hist = self.series.p_create_hist
         if cfg.sr_enabled or not hist:
             hist.append(p_create_histogram([a.p_create for a in self.agents]))
         else:
             # Only the SR update changes p(C) after __init__.
             hist.append(hist[-1])
-        self.snapshot = [(a.chain, a.fitness) for a in self.agents]
 
     def run(self) -> RunSeries:
         """Iterate to the horizon.  A run with no active agent left is

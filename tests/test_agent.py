@@ -1,14 +1,19 @@
 """Per-agent behavior: decisions, biased mutation, chain extension,
 imitation, adoption, and the social-regulation update."""
 
+import math
 import random
+import struct
 
 import pytest
 
+from culturesim.actions import SYMMETRIC_PARTNER, all_subactions
 from culturesim.agent import (
     Agent,
     CREATE,
+    FLIP_PROBABILITY,
     IMITATE,
+    _PERMUTATIONS_4,
     adopt,
     adopt_if_fitter,
     decide,
@@ -221,3 +226,181 @@ def test_adopt_skips_training_no_output_can_read(p_create, trend_learning):
     assert agent.fitness == 39.0
     assert agent.net.weights == before
     assert agent.net.decoded == NEUTRAL
+
+
+# --- the rewritten kernels against their earlier forms -------------------
+#
+# Each reference below is the kernel as it was before it was rewritten for
+# speed, kept verbatim.  The rewrites must return equal values and leave the
+# agent's RNG in the same state, so every run draws the same numbers.
+
+
+def reference_mutate_subaction(base, movement_bias, symmetry_bias, rng):
+    parts = list(base)
+    changed = False
+    for j in range(6):
+        if rng.random() < FLIP_PROBABILITY:
+            partner_idx = SYMMETRIC_PARTNER.get(j)
+            partner = base[partner_idx] if partner_idx is not None else 0
+            parts[j] = draw_position(base[j], partner, movement_bias, symmetry_bias, rng)
+            changed = True
+    return tuple(parts) if changed else base
+
+
+def reference_extend_chain(steps, ts, max_chain_length, movement_bias, symmetry_bias, rng):
+    steps = list(steps)
+    while len(steps) < max_chain_length:
+        if not ts.is_successful(steps[-1]):
+            break
+        candidate = reference_mutate_subaction(steps[-1], movement_bias, symmetry_bias, rng)
+        if candidate == steps[-1] or not ts.is_successful(candidate):
+            break
+        steps.append(candidate)
+    return tuple(steps)
+
+
+def reference_invent(agent, ts, chaining_enabled, max_chain_length):
+    movement_bias, symmetry_bias = agent.net.invention_bias()
+    new_final = reference_mutate_subaction(
+        agent.chain[-1], movement_bias, symmetry_bias, agent.rng)
+    steps = agent.chain[:-1] + (new_final,)
+    if len(steps) > 1 and steps[-1] == steps[-2]:
+        return agent.chain
+    if chaining_enabled:
+        steps = reference_extend_chain(
+            steps, ts, max_chain_length, movement_bias, symmetry_bias, agent.rng)
+    return steps
+
+
+def reference_imitate(agent, neighbors):
+    if len(neighbors) == 4:
+        order = _PERMUTATIONS_4[int(agent.rng.random() * 24)]
+    else:
+        order = agent.rng.sample(range(len(neighbors)), len(neighbors))
+    own = agent.fitness
+    for idx in order:
+        chain, fit = neighbors[idx]
+        if fit > own:
+            return chain, fit
+    return None
+
+
+class CountingRandom(random.Random):
+    """Counts ``choice`` calls: ``draw_position`` makes one only in its
+    fallback, after 16 draws that all equal the current position."""
+
+    fallbacks = 0
+
+    def choice(self, seq):
+        self.fallbacks += 1
+        return super().choice(seq)
+
+
+# (1, 1) pins every flipped limb whose partner equals it onto its own
+# position, so draw_position's fallback fires there.
+BIAS_GRID = [(0.0, 0.0), (0.5, 0.5), (0.2, 0.9), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]
+
+
+def test_unrolled_mutation_matches_the_loop_form_on_every_base():
+    for movement_bias, symmetry_bias in BIAS_GRID:
+        rng, ref_rng = CountingRandom(61), CountingRandom(61)
+        for base in all_subactions():
+            for _ in range(6):
+                got = mutate_subaction(base, movement_bias, symmetry_bias, rng)
+                want = reference_mutate_subaction(
+                    base, movement_bias, symmetry_bias, ref_rng)
+                assert got == want
+                assert (got is base) == (want is base)
+            assert rng.getstate() == ref_rng.getstate()
+        assert rng.fallbacks == ref_rng.fallbacks
+        if (movement_bias, symmetry_bias) == (1.0, 1.0):
+            assert rng.fallbacks > 0
+
+
+def random_chain(rng, ts, length):
+    """A chain of acceptable steps, each differing from the one before;
+    half the time its last step is any sub-action instead."""
+    steps = [rng.choice(ts.acceptable)]
+    while len(steps) < length:
+        steps.append(rng.choice([s for s in ts.acceptable if s != steps[-1]]))
+    if rng.random() < 0.5:
+        subs = list(all_subactions())
+        steps[-1] = rng.choice([s for s in subs if len(steps) == 1 or s != steps[-2]])
+    return tuple(steps)
+
+
+@pytest.mark.parametrize("max_chain_length", [1, 6, 50])
+def test_invent_and_extend_chain_match_their_copying_forms(max_chain_length):
+    ts = TemplateSet.default()
+    chain_rng = random.Random(max_chain_length)
+    appended = at_max = 0
+    for seed in range(150):
+        chain = random_chain(chain_rng, ts, chain_rng.randint(1, max_chain_length))
+        agent = make_agent(chain=chain, seed=seed)
+        ref = make_agent(chain=chain, seed=seed)
+        for _ in range(20):
+            got = invent(agent, ts, True, max_chain_length)
+            want = reference_invent(ref, ts, True, max_chain_length)
+            assert got == want
+            assert (got is agent.chain) == (want is ref.chain)
+            appended += len(got) > len(chain)
+            at_max += len(got) == max_chain_length
+        assert agent.rng.getstate() == ref.rng.getstate()
+
+        steps = list(chain)
+        mb, sb = agent.net.invention_bias()
+        got = extend_chain(steps, ts, max_chain_length, mb, sb, agent.rng)
+        want = reference_extend_chain(steps, ts, max_chain_length, mb, sb, ref.rng)
+        assert type(got) is tuple and got == want
+        assert extend_chain(chain, ts, max_chain_length, mb, sb, agent.rng) == (
+            reference_extend_chain(chain, ts, max_chain_length, mb, sb, ref.rng))
+        assert agent.rng.getstate() == ref.rng.getstate()
+    assert at_max > 0
+    if max_chain_length > 1:
+        assert appended > 0
+
+
+def test_imitate_matches_its_earlier_form_and_returns_the_pair_itself():
+    pairs_rng = random.Random(67)
+    agent, ref = make_agent(seed=71), make_agent(seed=71)
+    found = 0
+    for _ in range(2000):
+        own = pairs_rng.randint(0, 4)
+        agent.fitness = ref.fitness = own
+        neighbors = tuple(((NEUTRAL,), pairs_rng.randint(0, 4)) for _ in range(4))
+        got = imitate(agent, neighbors)
+        assert got == reference_imitate(ref, neighbors)
+        if got is not None:
+            found += 1
+            assert any(got is pair for pair in neighbors)
+        assert agent.rng.getstate() == ref.rng.getstate()
+    assert found > 0
+
+
+def bits(x):
+    return struct.pack("<d", x)
+
+
+CLAMP_VALUES = [
+    0.0, -0.0, 5e-324, -5e-324, 0.5, 1.0,
+    math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0), 1.5, 1e308,
+    -0.25, -1e308, math.inf, -math.inf, math.nan,
+]
+
+
+@pytest.mark.parametrize("x", CLAMP_VALUES, ids=repr)
+def test_update_p_create_clamp_is_bit_identical_to_min_max(x):
+    agent = make_agent(p_create=x, fitness=1.0)
+    update_p_create(agent, 1.0)  # relative fitness 1.0: the clamp sees x itself
+    want = min(1.0, max(0.0, x))
+    assert type(agent.p_create) is float
+    assert bits(agent.p_create) == bits(want)
+
+
+def test_update_p_create_matches_min_max_on_random_products():
+    rng = random.Random(73)
+    for _ in range(5000):
+        p, fit, mean = rng.random(), rng.randint(0, 60), rng.uniform(0.5, 40.0)
+        agent = make_agent(p_create=p, fitness=fit)
+        update_p_create(agent, mean)
+        assert bits(agent.p_create) == bits(min(1.0, max(0.0, p * (fit / mean))))

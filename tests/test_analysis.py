@@ -1,10 +1,12 @@
 """Discounting analyses and series metrics: NPV, TTT, PIV, histograms."""
 
 import math
+import random
 
 import pytest
 
 from culturesim.analysis import (
+    HIST_BINS,
     RunSeries,
     average_series,
     discount_rate,
@@ -75,6 +77,31 @@ def test_histogram_top_bin_includes_one():
     assert hist[9] == 2
     assert hist[5] == 1
     assert sum(hist) == 5
+
+
+def reference_histogram(values):
+    """p_create_histogram before its bin lost the ``min`` call, verbatim."""
+    counts = [0] * HIST_BINS
+    for v in values:
+        idx = min(int(v * HIST_BINS), HIST_BINS - 1)
+        counts[idx] += 1
+    return tuple(counts)
+
+
+def test_histogram_matches_the_min_form_out_of_range_too():
+    rng = random.Random(79)
+    values = [rng.random() for _ in range(2000)] + [
+        0.0, -0.0, 5e-324, 0.1, 0.9, math.nextafter(1.0, 0.0), 1.0, 1.5, 1e300,
+        -0.05, -0.35, -1.0,
+    ]
+    assert p_create_histogram(values) == reference_histogram(values)
+    for bad in (-2.0, -1e300, math.nan, math.inf, -math.inf):
+        with pytest.raises(Exception) as got:
+            p_create_histogram([0.5, bad])
+        with pytest.raises(Exception) as want:
+            reference_histogram([0.5, bad])
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
 
 
 def test_segregation_stats():

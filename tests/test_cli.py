@@ -190,3 +190,74 @@ def test_analyze_prints_nothing_before_a_bad_rate(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: discount rate must be in (0, 1], got -3.0\n"
+
+
+@pytest.mark.parametrize(
+    "preset, world, message",
+    [
+        # Used to run fixed roles at tau = 35.1 and echo the overrides.
+        ("exp1_sweep", {"tau": 9.0, "mode": "shared_p"},
+         "preset exp1_sweep runs with mode='fixed_roles', but the config gives 'shared_p'"),
+        # Used to run single-step fitness without chaining.
+        ("exp2_sr", {"fitness_regime": "template", "chaining_enabled": True},
+         "preset exp2_sr runs with chaining_enabled=False, but the config gives True"),
+    ],
+    ids=["exp1_shared_p", "exp2_template_chaining"],
+)
+def test_run_command_rejects_a_setting_the_preset_overrides(
+    tmp_path, capsys, monkeypatch, preset, world, message
+):
+    worlds = []
+    monkeypatch.setattr(world_mod.World, "__init__", lambda self, *a: worlds.append(a))
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({
+        "preset": preset, "runs_per_cell": 1, "output_dir": str(tmp_path / "out"),
+        "world": world,
+    }))
+    assert main(["run", str(config)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert worlds == []
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_command_rejects_a_template_file_outside_the_template_regime(
+    tmp_path, capsys, monkeypatch
+):
+    # Used to run single-step fitness and echo the (missing) file's path.
+    worlds = []
+    monkeypatch.setattr(world_mod.World, "__init__", lambda self, *a: worlds.append(a))
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({
+        "runs_per_cell": 1, "output_dir": str(tmp_path / "out"),
+        "world": {"template_file": str(tmp_path / "nonexistent.json")},
+    }))
+    assert main(["run", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: template_file requires the template fitness regime\n"
+    assert worlds == []
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("world, tau", [({"tau": 9.0}, 9.0), ({}, 35.1)],
+                         ids=["explicit_9", "defaulted"])
+def test_run_command_keeps_an_explicit_exp1_tau(tmp_path, capsys, monkeypatch, world, tau):
+    # 9.0 is also the WorldConfig default, which exp1 replaces by the desk
+    # threshold only when the config does not give tau.
+    taus = []
+    real = experiments.time_to_threshold
+
+    def spy(series, t):
+        taus.append(t)
+        return real(series, t)
+
+    monkeypatch.setattr(experiments, "time_to_threshold", spy)
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({
+        "preset": "exp1_sweep", "runs_per_cell": 1, "grid_c": [1.0], "grid_p": [1.0],
+        "output_dir": str(tmp_path / "out"),
+        "world": dict(world, lattice_side=4, iterations=3),
+    }))
+    assert main(["run", str(config)]) == 0
+    assert taus == [tau]
+    echoed = json.loads((tmp_path / "out" / "config.json").read_text())
+    assert echoed["world"]["tau"] == tau

@@ -197,9 +197,11 @@ def test_template_file_is_loaded_by_validate(tmp_path):
     templates.write_text("[]")
     with pytest.raises(ConfigError, match="template_file is invalid: template set is empty"):
         load_config(write_config(tmp_path, payload))
-    # Outside the template regime the file is never read.
+    # Outside the template regime the file would never be read, so naming
+    # one there is an error rather than a silently different run.
     payload["world"]["fitness_regime"] = "single_step"
-    load_config(write_config(tmp_path, payload))
+    with pytest.raises(ConfigError, match="template_file requires the template"):
+        load_config(write_config(tmp_path, payload))
 
 
 class FailingConfig:
@@ -317,7 +319,7 @@ def test_digests_cover_template_contents_not_their_path(tmp_path):
     assert a.world.digest() != b.world.digest()
     assert a.digest() != b.digest()
     # Outside the template regime the file is never read, not even by
-    # the digest, so a config naming a missing one still runs.
+    # the digest (validate rejects such a config).
     assert WorldConfig(template_file=str(tmp_path / "missing.json")).digest()
 
 

@@ -10,12 +10,10 @@ from culturesim.actions import all_subactions, parse_subaction, parse_template
 from culturesim.fitness import (
     ACCEPTABLE_SUBACTIONS,
     ScoreTable,
+    SINGLE_STEP_SCORES,
     TemplateSet,
-    fitness_chain,
     fitness_single,
     fitness_single_chain,
-    fitness_subaction,
-    is_successful,
     max_fitness_single,
     template_order,
     template_weight,
@@ -109,9 +107,9 @@ def test_acceptable_subactions_share_one_fitness_value():
 
 def test_is_successful_restricted_to_acceptable_list():
     ts = TemplateSet.default()
-    assert is_successful((0, 1, -1, 1, -1, 1), ts)
-    assert not is_successful((0, 0, 0, 0, 0, 0), ts)
-    assert not is_successful((1, 1, 1, 1, 1, 0), ts)
+    assert ts.is_successful((0, 1, -1, 1, -1, 1))
+    assert not ts.is_successful((0, 0, 0, 0, 0, 0))
+    assert not ts.is_successful((1, 1, 1, 1, 1, 0))
     successful = [s for s in all_subactions() if ts.is_successful(s)]
     assert sorted(successful) == sorted(ACCEPTABLE_SUBACTIONS)
 
@@ -121,9 +119,9 @@ def test_chain_fitness_sums_steps():
     a = (0, 1, -1, 1, -1, 1)
     b = (0, 1, -1, 1, -1, -1)
     single = ts.fitness_subaction(a)
-    assert fitness_chain((a,), ts) == single
-    assert fitness_chain((a, b), ts) == 2 * single
-    assert fitness_chain((a, b, a), ts) > fitness_chain((a, b), ts)
+    assert ts.fitness_chain((a,)) == single
+    assert ts.fitness_chain((a, b)) == 2 * single
+    assert ts.fitness_chain((a, b, a)) > ts.fitness_chain((a, b))
 
 
 def test_template_set_file_errors(tmp_path):
@@ -143,10 +141,11 @@ def test_template_set_file_errors(tmp_path):
         TemplateSet.from_file(bad_template)
 
 
-def test_subaction_fitness_wrapper_uses_cache():
+def test_subaction_fitness_is_read_from_the_score_table():
     ts = TemplateSet.default()
     sub = parse_subaction("01-11-11")
-    assert fitness_subaction(sub, ts) == ts.fitness_subaction(sub)
+    assert ts.fitness_subaction(sub) == ts.scores[sub]
+    assert ts.fitness_subaction(sub) == reference_template_fitness(sub, ts.templates)
 
 
 def test_score_table_scores_each_subaction_once_on_first_lookup():
@@ -174,3 +173,24 @@ def test_chain_scores_sum_their_step_tables():
         reference_template_fitness(s, ts.templates) for s in chain)
     assert type(ts.fitness_chain(chain)) is int
     assert type(fitness_single_chain(chain)) is int
+
+
+def test_default_template_set_is_parsed_once_per_process():
+    assert TemplateSet.default() is TemplateSet.default()
+
+
+def test_best_score_is_computed_once_per_table():
+    scored = []
+
+    def score(sub):
+        scored.append(sub)
+        return fitness_single(sub)
+
+    table = ScoreTable(score)
+    assert table.best() == 39 and table.best() == 39
+    assert len(scored) == 729
+    assert SINGLE_STEP_SCORES.best() == max(
+        reference_fitness_single(s) for s in all_subactions())
+    ts = TemplateSet.default()
+    assert ts.scores.best() == max(
+        reference_template_fitness(s, ts.templates) for s in all_subactions())
