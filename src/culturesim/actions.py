@@ -29,14 +29,6 @@ class BodyPart(IntEnum):
 NUM_PARTS = 6
 POSITIONS = (-1, 0, 1)
 
-# Symmetric limb pairs (index -> partner index); HEAD and HIPS have none.
-SYMMETRIC_PARTNER = {
-    BodyPart.LEFT_ARM.value: BodyPart.RIGHT_ARM.value,
-    BodyPart.RIGHT_ARM.value: BodyPart.LEFT_ARM.value,
-    BodyPart.LEFT_LEG.value: BodyPart.RIGHT_LEG.value,
-    BodyPart.RIGHT_LEG.value: BodyPart.LEFT_LEG.value,
-}
-
 NEUTRAL: SubAction = (0, 0, 0, 0, 0, 0)
 
 

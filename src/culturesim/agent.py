@@ -1,6 +1,6 @@
-"""One agent's per-iteration behavior: create-vs-imitate decisions, biased
-invention, chain extension, lazy imitation, and the social-regulation
-update of the personal creation probability."""
+"""One agent's per-iteration behavior: biased invention, chain extension,
+lazy imitation, and the social-regulation update of the personal creation
+probability.  The create-or-imitate draw is made in ``World.step``."""
 
 from __future__ import annotations
 
@@ -10,11 +10,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple, Union
 
 from .actions import ActionChain, SubAction
-from .fitness import TemplateSet
+from .fitness import ACCEPTABLE_SUBACTIONS
 from .network import AutoAssociator, LastPattern
-
-CREATE = "create"
-IMITATE = "imitate"
 
 FLIP_PROBABILITY = 1.0 / 6.0
 _MAX_DRAW_TRIES = 16
@@ -28,11 +25,6 @@ class Agent:
     fitness: float
     net: Union[AutoAssociator, LastPattern]
     rng: random.Random
-
-
-def decide(agent: Agent) -> str:
-    """One Bernoulli draw from the agent's own stream."""
-    return CREATE if agent.rng.random() < agent.p_create else IMITATE
 
 
 def draw_position(
@@ -98,7 +90,6 @@ def mutate_subaction(
 
 def extend_chain(
     steps: Sequence[SubAction],
-    ts: TemplateSet,
     max_chain_length: int,
     movement_bias: float,
     symmetry_bias: float,
@@ -111,20 +102,15 @@ def extend_chain(
     itself for a tuple.
     """
     chain = tuple(steps)
-    while len(chain) < max_chain_length and ts.is_successful(chain[-1]):
+    while len(chain) < max_chain_length and chain[-1] in ACCEPTABLE_SUBACTIONS:
         candidate = mutate_subaction(chain[-1], movement_bias, symmetry_bias, rng)
-        if candidate == chain[-1] or not ts.is_successful(candidate):
+        if candidate == chain[-1] or candidate not in ACCEPTABLE_SUBACTIONS:
             break
         chain += (candidate,)
     return chain
 
 
-def invent(
-    agent: Agent,
-    ts: Optional[TemplateSet],
-    chaining_enabled: bool,
-    max_chain_length: int,
-) -> ActionChain:
+def invent(agent: Agent, chaining_enabled: bool, max_chain_length: int) -> ActionChain:
     """Produce a candidate chain by mutating the final step of the current one.
 
     Earlier steps are immutable; in chaining mode the extension loop may
@@ -136,9 +122,9 @@ def invent(
     steps = agent.chain[:-1] + (new_final,)
     if len(steps) > 1 and steps[-1] == steps[-2]:
         return agent.chain  # mutation collided with the previous step
-    if chaining_enabled and ts.is_successful(new_final):
+    if chaining_enabled and new_final in ACCEPTABLE_SUBACTIONS:
         steps = extend_chain(
-            steps, ts, max_chain_length, movement_bias, symmetry_bias, agent.rng
+            steps, max_chain_length, movement_bias, symmetry_bias, agent.rng
         )
     return steps
 

@@ -21,7 +21,7 @@ from .experiments import (
     preset_spec,
     run_spec,
 )
-from .fitness import TemplateSet
+from .fitness import ACCEPTABLE_SUBACTIONS, TemplateSet
 from .world import ConfigError
 
 
@@ -79,7 +79,7 @@ def cmd_validate_templates(args: argparse.Namespace) -> int:
     neutral = (0,) * 6
     print(f"templates={len(ts.templates)}")
     print(f"fitness_neutral={fmt(ts.fitness_subaction(neutral))}")
-    print(f"acceptable_subactions={len(ts.acceptable)}")
+    print(f"acceptable_subactions={len(ACCEPTABLE_SUBACTIONS)}")
     return 0
 
 

@@ -161,6 +161,15 @@ def load_config(path: str) -> ExperimentSpec:
                 f"preset {spec.preset} runs with {key}={value!r}, "
                 f"but the config gives {world_raw[key]!r}"
             )
+    # A paired preset runs one cell with SR off and on, so a grid or an
+    # sr_enabled in its config would be echoed but never read.
+    if spec.preset in (PRESET_EXP2, PRESET_EXP3):
+        for key in ("grid_c", "grid_p", "sr_enabled"):
+            if key in raw or key in world_raw:
+                raise ConfigError(
+                    f"preset {spec.preset} runs one cell with SR off and on; "
+                    f"it does not read {key}"
+                )
     world = replace(world, **forced)
     if spec.preset == PRESET_EXP1 and "tau" not in world_raw:
         world = replace(world, tau=DESK_TAU)

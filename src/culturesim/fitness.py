@@ -20,7 +20,7 @@ import functools
 import json
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Iterable, Tuple
+from typing import Callable, FrozenSet, Iterable
 
 from .actions import (
     ActionChain,
@@ -32,13 +32,13 @@ from .actions import (
     parse_template,
 )
 
-# The only fully-specified sub-actions allowed to chain.
-ACCEPTABLE_SUBACTIONS: Tuple[SubAction, ...] = (
+# The only sub-actions allowed to chain, whatever the templates.
+ACCEPTABLE_SUBACTIONS: FrozenSet[SubAction] = frozenset((
     (0, 1, -1, 1, -1, 1),
     (0, 1, -1, 1, -1, -1),
     (0, -1, 1, -1, 1, 1),
     (0, -1, 1, -1, 1, -1),
-)
+))
 
 _HD = BodyPart.HEAD.value
 _LA = BodyPart.LEFT_ARM.value
@@ -124,10 +124,8 @@ class TemplateSet:
         self.templates = tuple(templates)
         if not self.templates:
             raise ValueError("template set is empty")
-        self.acceptable = ACCEPTABLE_SUBACTIONS
         self._orders = tuple(template_order(t) for t in self.templates)
         self.scores = ScoreTable(self._score)
-        self._acceptable_set = frozenset(self.acceptable)
 
     @classmethod
     def from_file(cls, path) -> "TemplateSet":
@@ -165,9 +163,6 @@ class TemplateSet:
     def fitness_subaction(self, sub: SubAction) -> int:
         """Summed order of every matching template."""
         return self.scores[sub]
-
-    def is_successful(self, sub: SubAction) -> bool:
-        return sub in self._acceptable_set
 
     def fitness_chain(self, chain: ActionChain) -> int:
         return sum(map(self.scores.__getitem__, chain))

@@ -1,10 +1,13 @@
 """Per-agent auto-associative network.
 
 Six input nodes feed six output nodes through a trainable 6x6 weight
-matrix; seven hidden nodes (LEFT, RIGHT, ARM, LEG, SYMMETRY, OPPOSITE,
-MOVEMENT) read the decoded output pattern through fixed +/-1 weights.
-The SYMMETRY and MOVEMENT activations bias invention toward the kinds of
-action the agent has been learning.
+matrix.  Of the seven hidden nodes of the model (LEFT, RIGHT, ARM, LEG,
+SYMMETRY, OPPOSITE, MOVEMENT), which read the decoded output pattern
+through fixed weights, only two feed anything: MOVEMENT, with weight 1
+on the absolute value of every part, and SYMMETRY, with weight 1 on each
+of the four limbs.  Their activations bias invention toward the kinds
+of action the agent has been learning, so ``_bias_of`` computes just
+those two.
 
 The matrices are tiny, so the arithmetic is written out in plain Python;
 at 6x6 this is several times faster than vectorized array calls, and the
@@ -22,8 +25,8 @@ produces is bit-identical to what ``_forward`` and a per-element
   operand order.
 
 Built-in ``sum`` is avoided on purpose: from Python 3.12 it sums floats
-with compensation, which rounds differently.  ``_forward``, ``activate``
-and ``recall`` keep the plain per-element form as the reference model.
+with compensation, which rounds differently.  ``_forward`` and ``recall``
+keep the plain per-element form as the reference model.
 
 When ``train`` converges, the decoded output is the trained pattern
 itself, so it is taken from ``sub`` instead of decoding six outputs.
@@ -91,7 +94,7 @@ from __future__ import annotations
 import functools
 import math
 import random
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from .actions import NUM_PARTS, SubAction
 
@@ -107,22 +110,6 @@ TARGET_ACTIVATION = {-1: 0.1, 0: 0.5, 1: 0.9}
 # Decoding an output activation back to a trit.
 DECODE_HIGH = 0.67
 DECODE_LOW = 0.33
-
-HIDDEN_NODES = ("LEFT", "RIGHT", "ARM", "LEG", "SYMMETRY", "OPPOSITE", "MOVEMENT")
-
-# Fixed hidden wiring (never trained): rows follow HIDDEN_NODES, columns
-# follow canonical body-part order.  A part connects to the hidden nodes
-# of which it is an instance; MOVEMENT connects to every part and reads
-# absolute values, since negative movement is not possible.
-FIXED_HIDDEN_WEIGHTS: Tuple[Tuple[int, ...], ...] = (
-    (0, 1, 0, 1, 0, 0),    # LEFT
-    (0, 0, 1, 0, 1, 0),    # RIGHT
-    (0, 1, 1, 0, 0, 0),    # ARM
-    (0, 0, 0, 1, 1, 0),    # LEG
-    (0, 1, 1, 1, 1, 0),    # SYMMETRY
-    (0, 1, -1, 1, -1, 0),  # OPPOSITE
-    (1, 1, 1, 1, 1, 1),    # MOVEMENT
-)
 
 # Training calls on a fresh network that provably decode to their input
 # (see the module docstring); at most the proven budget of about 354.
@@ -141,25 +128,16 @@ def decode_activation(a: float) -> int:
     return 0
 
 
-def hidden_activations(decoded: SubAction) -> Dict[str, float]:
-    """Hidden-node activations for a decoded output pattern."""
-    hidden = {}
-    for row, name in zip(FIXED_HIDDEN_WEIGHTS, HIDDEN_NODES):
-        if name == "MOVEMENT":
-            net = sum(w * abs(v) for w, v in zip(row, decoded))
-        else:
-            net = sum(w * v for w, v in zip(row, decoded))
-        hidden[name] = sigmoid(net)
-    return hidden
-
-
 @functools.cache
 def _bias_of(decoded: SubAction) -> Tuple[float, float]:
-    """(movement, symmetry) bias of a decoded pattern.  The hidden layer
-    reads only the decoded trits, so this is a table of at most 729
-    entries, filled as patterns first occur."""
-    hidden = hidden_activations(decoded)
-    return hidden["MOVEMENT"], hidden["SYMMETRY"]
+    """(MOVEMENT, SYMMETRY) activations of a decoded pattern: the number of
+    active parts, and the sum of the four limbs.  The hidden layer reads
+    only the decoded trits, so this is a table of at most 729 entries,
+    filled as patterns first occur."""
+    return (
+        sigmoid(sum(map(abs, decoded))),
+        sigmoid(decoded[1] + decoded[2] + decoded[3] + decoded[4]),
+    )
 
 
 class AutoAssociator:
@@ -189,11 +167,6 @@ class AutoAssociator:
         self.decoded: SubAction = (0,) * NUM_PARTS
         self._bias = _bias_of(self.decoded)
 
-    @property
-    def hidden(self) -> Dict[str, float]:
-        """Hidden activations, which read the decoded output pattern."""
-        return hidden_activations(self.decoded)
-
     def _forward(self, x: SubAction) -> List[float]:
         w = self.weights
         out = []
@@ -206,28 +179,15 @@ class AutoAssociator:
             out.append(1.0 / (1.0 + math.exp(-BETA * net)))
         return out
 
-    def activate(self, sub: SubAction) -> List[float]:
-        """Run the pattern through the network and refresh hidden activations.
-
-        The output pattern is decoded and fed back to the hidden layer, so
-        a trained network reports trends about what it has learned rather
-        than about the raw stimulus.
-        """
-        out = self._forward(sub)
-        self.decoded = tuple(decode_activation(a) for a in out)
-        self._bias = _bias_of(self.decoded)
-        return out
-
     def train(self, sub: SubAction) -> bool:
         """Learn the identity mapping for ``sub``; returns True on convergence.
 
         Runs the delta rule for at most MAX_EPOCHS epochs or until every
         output is within CONVERGENCE_TOL of its target.  Non-convergence is
         reported, not fatal: the agent's explicit action stays the ground
-        truth and the network only biases invention.  Afterwards the
-        network is left as ``activate(sub)`` would leave it: the last
-        forward pass ran on the final weights, so its output is reused,
-        and on convergence it decodes to ``sub`` itself.
+        truth and the network only biases invention.  Afterwards
+        ``decoded`` is the decoded output of the last forward pass, which
+        ran on the final weights, and on convergence it is ``sub`` itself.
 
         The six outputs are unrolled into locals (see the module docstring
         for why every value is bit-identical to ``_forward``'s).  Neutral

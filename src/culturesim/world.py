@@ -3,6 +3,7 @@ iteration, and deterministic per-agent RNG streams."""
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -145,8 +146,10 @@ def derive_seed(*parts) -> int:
     return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big")
 
 
-def neighbor_table(side: int) -> List[Tuple[int, int, int, int]]:
-    """Von Neumann neighborhoods with toroidal wraparound, row-major cells."""
+@functools.lru_cache(maxsize=None)
+def neighbor_table(side: int) -> Tuple[Tuple[int, int, int, int], ...]:
+    """Von Neumann neighborhoods with toroidal wraparound, row-major cells.
+    Built once per side per process, and a tuple, so no run can alter it."""
     table = []
     for r in range(side):
         for c in range(side):
@@ -155,7 +158,7 @@ def neighbor_table(side: int) -> List[Tuple[int, int, int, int]]:
             left = r * side + (c - 1) % side
             right = r * side + (c + 1) % side
             table.append((up, down, left, right))
-    return table
+    return tuple(table)
 
 
 class World:
@@ -174,11 +177,9 @@ class World:
                 if cfg.template_file
                 else TemplateSet.default()
             )
-            self.template_set = ts
             self.evaluate: Callable[[ActionChain], float] = ts.fitness_chain
             scores = ts.scores
         else:
-            self.template_set = None
             self.evaluate = fitness_single_chain
             scores = SINGLE_STEP_SCORES
 
@@ -252,10 +253,8 @@ class World:
         snapshot = self.snapshot
         neighbors = self.neighbors
         for a in self.active:
-            if a.rng.random() < a.p_create:  # inlined decide()
-                candidate = agent_ops.invent(
-                    a, self.template_set, cfg.chaining_enabled, cfg.max_chain_length
-                )
+            if a.rng.random() < a.p_create:  # create, else imitate
+                candidate = agent_ops.invent(a, cfg.chaining_enabled, cfg.max_chain_length)
                 if candidate is not a.chain:
                     agent_ops.adopt_if_fitter(a, candidate, self.evaluate)
             else:

@@ -1,5 +1,5 @@
-"""Per-agent behavior: decisions, biased mutation, chain extension,
-imitation, adoption, and the social-regulation update."""
+"""Per-agent behavior: biased mutation, chain extension, imitation,
+adoption, and the social-regulation update."""
 
 import math
 import random
@@ -7,16 +7,13 @@ import struct
 
 import pytest
 
-from culturesim.actions import SYMMETRIC_PARTNER, all_subactions
+from culturesim.actions import all_subactions
 from culturesim.agent import (
     Agent,
-    CREATE,
     FLIP_PROBABILITY,
-    IMITATE,
     _PERMUTATIONS_4,
     adopt,
     adopt_if_fitter,
-    decide,
     draw_position,
     extend_chain,
     imitate,
@@ -24,10 +21,22 @@ from culturesim.agent import (
     mutate_subaction,
     update_p_create,
 )
-from culturesim.fitness import ACCEPTABLE_SUBACTIONS, TemplateSet, fitness_single
+from culturesim.fitness import ACCEPTABLE_SUBACTIONS, fitness_single
 from culturesim.network import AutoAssociator
 
 NEUTRAL = (0, 0, 0, 0, 0, 0)
+
+# The acceptable sub-actions in a fixed order, for tests that index or
+# draw from them.
+ACCEPTABLE = (
+    (0, 1, -1, 1, -1, 1),
+    (0, 1, -1, 1, -1, -1),
+    (0, -1, 1, -1, 1, 1),
+    (0, -1, 1, -1, 1, -1),
+)
+
+# Symmetric limb pairs (index -> partner index); HEAD and HIPS have none.
+SYMMETRIC_PARTNER = {1: 2, 2: 1, 3: 4, 4: 3}
 
 
 def make_agent(p_create=0.5, chain=(NEUTRAL,), fitness=0.0, seed=0):
@@ -42,13 +51,9 @@ def make_agent(p_create=0.5, chain=(NEUTRAL,), fitness=0.0, seed=0):
     )
 
 
-def test_decide_matches_p_create_frequency():
-    agent = make_agent(p_create=0.3, seed=123)
-    n = 20000
-    creates = sum(1 for _ in range(n) if decide(agent) == CREATE)
-    assert creates / n == pytest.approx(0.3, abs=0.02)
-    assert decide(make_agent(p_create=0.0)) == IMITATE
-    assert decide(make_agent(p_create=1.0)) == CREATE
+def test_the_ordered_copy_holds_the_acceptable_subactions():
+    assert ACCEPTABLE_SUBACTIONS == frozenset(ACCEPTABLE)
+    assert len(ACCEPTABLE) == 4
 
 
 def test_mutation_changes_one_component_on_average():
@@ -95,30 +100,27 @@ def test_symmetry_bias_copies_active_partner_direction():
 
 
 def test_extend_chain_appends_acceptable_novel_steps():
-    ts = TemplateSet.default()
-    a = ACCEPTABLE_SUBACTIONS[0]
+    a = ACCEPTABLE[0]
     rng = random.Random(21)
     for _ in range(200):
-        chain = extend_chain([a], ts, 50, 0.7, 0.5, rng)
+        chain = extend_chain([a], 50, 0.7, 0.5, rng)
         for k in range(1, len(chain)):
             assert chain[k] != chain[k - 1]
-            assert ts.is_successful(chain[k])
+            assert chain[k] in ACCEPTABLE_SUBACTIONS
         assert len(chain) <= 50
 
 
 def test_extend_chain_stops_at_unacceptable_final_step():
-    ts = TemplateSet.default()
     rng = random.Random(23)
-    chain = extend_chain([(1, 1, 1, 1, 1, 0)], ts, 50, 0.7, 0.5, rng)
+    chain = extend_chain([(1, 1, 1, 1, 1, 0)], 50, 0.7, 0.5, rng)
     assert chain == ((1, 1, 1, 1, 1, 0),)
 
 
 def test_invent_mutates_only_the_final_step():
-    ts = TemplateSet.default()
-    a, b = ACCEPTABLE_SUBACTIONS[0], ACCEPTABLE_SUBACTIONS[1]
+    a, b = ACCEPTABLE[0], ACCEPTABLE[1]
     agent = make_agent(chain=(a, b), seed=31)
     for _ in range(100):
-        candidate = invent(agent, ts, chaining_enabled=False, max_chain_length=50)
+        candidate = invent(agent, chaining_enabled=False, max_chain_length=50)
         assert candidate[0] == a
         assert len(candidate) == 2 or candidate is agent.chain
 
@@ -126,12 +128,11 @@ def test_invent_mutates_only_the_final_step():
 def test_invent_rejects_collision_with_previous_step():
     # If mutating the final step reproduces the step before it, the
     # candidate would violate the novelty rule and is withdrawn.
-    ts = TemplateSet.default()
-    a, b = ACCEPTABLE_SUBACTIONS[0], ACCEPTABLE_SUBACTIONS[1]
+    a, b = ACCEPTABLE[0], ACCEPTABLE[1]
     agent = make_agent(chain=(a, b), seed=37)
     saw_collision = False
     for _ in range(3000):
-        candidate = invent(agent, ts, chaining_enabled=False, max_chain_length=50)
+        candidate = invent(agent, chaining_enabled=False, max_chain_length=50)
         if candidate is agent.chain:
             saw_collision = True
         else:
@@ -247,19 +248,19 @@ def reference_mutate_subaction(base, movement_bias, symmetry_bias, rng):
     return tuple(parts) if changed else base
 
 
-def reference_extend_chain(steps, ts, max_chain_length, movement_bias, symmetry_bias, rng):
+def reference_extend_chain(steps, max_chain_length, movement_bias, symmetry_bias, rng):
     steps = list(steps)
     while len(steps) < max_chain_length:
-        if not ts.is_successful(steps[-1]):
+        if steps[-1] not in ACCEPTABLE:
             break
         candidate = reference_mutate_subaction(steps[-1], movement_bias, symmetry_bias, rng)
-        if candidate == steps[-1] or not ts.is_successful(candidate):
+        if candidate == steps[-1] or candidate not in ACCEPTABLE:
             break
         steps.append(candidate)
     return tuple(steps)
 
 
-def reference_invent(agent, ts, chaining_enabled, max_chain_length):
+def reference_invent(agent, chaining_enabled, max_chain_length):
     movement_bias, symmetry_bias = agent.net.invention_bias()
     new_final = reference_mutate_subaction(
         agent.chain[-1], movement_bias, symmetry_bias, agent.rng)
@@ -268,7 +269,7 @@ def reference_invent(agent, ts, chaining_enabled, max_chain_length):
         return agent.chain
     if chaining_enabled:
         steps = reference_extend_chain(
-            steps, ts, max_chain_length, movement_bias, symmetry_bias, agent.rng)
+            steps, max_chain_length, movement_bias, symmetry_bias, agent.rng)
     return steps
 
 
@@ -317,12 +318,12 @@ def test_unrolled_mutation_matches_the_loop_form_on_every_base():
             assert rng.fallbacks > 0
 
 
-def random_chain(rng, ts, length):
+def random_chain(rng, length):
     """A chain of acceptable steps, each differing from the one before;
     half the time its last step is any sub-action instead."""
-    steps = [rng.choice(ts.acceptable)]
+    steps = [rng.choice(ACCEPTABLE)]
     while len(steps) < length:
-        steps.append(rng.choice([s for s in ts.acceptable if s != steps[-1]]))
+        steps.append(rng.choice([s for s in ACCEPTABLE if s != steps[-1]]))
     if rng.random() < 0.5:
         subs = list(all_subactions())
         steps[-1] = rng.choice([s for s in subs if len(steps) == 1 or s != steps[-2]])
@@ -331,16 +332,15 @@ def random_chain(rng, ts, length):
 
 @pytest.mark.parametrize("max_chain_length", [1, 6, 50])
 def test_invent_and_extend_chain_match_their_copying_forms(max_chain_length):
-    ts = TemplateSet.default()
     chain_rng = random.Random(max_chain_length)
     appended = at_max = 0
     for seed in range(150):
-        chain = random_chain(chain_rng, ts, chain_rng.randint(1, max_chain_length))
+        chain = random_chain(chain_rng, chain_rng.randint(1, max_chain_length))
         agent = make_agent(chain=chain, seed=seed)
         ref = make_agent(chain=chain, seed=seed)
         for _ in range(20):
-            got = invent(agent, ts, True, max_chain_length)
-            want = reference_invent(ref, ts, True, max_chain_length)
+            got = invent(agent, True, max_chain_length)
+            want = reference_invent(ref, True, max_chain_length)
             assert got == want
             assert (got is agent.chain) == (want is ref.chain)
             appended += len(got) > len(chain)
@@ -349,11 +349,11 @@ def test_invent_and_extend_chain_match_their_copying_forms(max_chain_length):
 
         steps = list(chain)
         mb, sb = agent.net.invention_bias()
-        got = extend_chain(steps, ts, max_chain_length, mb, sb, agent.rng)
-        want = reference_extend_chain(steps, ts, max_chain_length, mb, sb, ref.rng)
+        got = extend_chain(steps, max_chain_length, mb, sb, agent.rng)
+        want = reference_extend_chain(steps, max_chain_length, mb, sb, ref.rng)
         assert type(got) is tuple and got == want
-        assert extend_chain(chain, ts, max_chain_length, mb, sb, agent.rng) == (
-            reference_extend_chain(chain, ts, max_chain_length, mb, sb, ref.rng))
+        assert extend_chain(chain, max_chain_length, mb, sb, agent.rng) == (
+            reference_extend_chain(chain, max_chain_length, mb, sb, ref.rng))
         assert agent.rng.getstate() == ref.rng.getstate()
     assert at_max > 0
     if max_chain_length > 1:

@@ -220,6 +220,34 @@ def test_run_command_rejects_a_setting_the_preset_overrides(
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "preset, extra, key",
+    [
+        # Used to run both SR arms and echo the grid and sr_enabled.
+        ("exp2_sr", {"grid_c": [0.2], "world": {"sr_enabled": False}}, "grid_c"),
+        ("exp3_chaining", {"grid_p": [0.4]}, "grid_p"),
+        ("exp3_chaining", {"world": {"sr_enabled": True}}, "sr_enabled"),
+    ],
+    ids=["exp2_grid_c_and_sr_off", "exp3_grid_p", "exp3_sr_on"],
+)
+def test_run_command_rejects_a_key_a_paired_preset_ignores(
+    tmp_path, capsys, monkeypatch, preset, extra, key
+):
+    worlds = []
+    monkeypatch.setattr(world_mod.World, "__init__", lambda self, *a: worlds.append(a))
+    payload = {"preset": preset, "runs_per_cell": 1, "output_dir": str(tmp_path / "out")}
+    payload.update(extra)
+    payload["world"] = dict(payload.get("world", {}), lattice_side=4, iterations=3)
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(payload))
+    assert main(["run", str(config)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: preset {preset} runs one cell with SR off and on; it does not read {key}\n"
+    )
+    assert worlds == []
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_command_rejects_a_template_file_outside_the_template_regime(
     tmp_path, capsys, monkeypatch
 ):

@@ -105,13 +105,17 @@ def test_acceptable_subactions_share_one_fitness_value():
     assert len(values) == 1
 
 
-def test_is_successful_restricted_to_acceptable_list():
-    ts = TemplateSet.default()
-    assert ts.is_successful((0, 1, -1, 1, -1, 1))
-    assert not ts.is_successful((0, 0, 0, 0, 0, 0))
-    assert not ts.is_successful((1, 1, 1, 1, 1, 0))
-    successful = [s for s in all_subactions() if ts.is_successful(s)]
-    assert sorted(successful) == sorted(ACCEPTABLE_SUBACTIONS)
+def test_acceptable_set_is_the_four_antisymmetric_limb_patterns():
+    # Head still, each arm opposite its partner, each leg moving with the
+    # arm on its side, hips active.
+    assert (0, 1, -1, 1, -1, 1) in ACCEPTABLE_SUBACTIONS
+    assert (0, 0, 0, 0, 0, 0) not in ACCEPTABLE_SUBACTIONS
+    assert (1, 1, 1, 1, 1, 0) not in ACCEPTABLE_SUBACTIONS
+    acceptable = [s for s in all_subactions() if s in ACCEPTABLE_SUBACTIONS]
+    assert acceptable == [
+        (0, a, -a, a, -a, h) for a in (-1, 1) for h in (-1, 1)
+    ]
+    assert type(ACCEPTABLE_SUBACTIONS) is frozenset
 
 
 def test_chain_fitness_sums_steps():

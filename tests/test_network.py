@@ -12,8 +12,6 @@ from culturesim.network import (
     CONVERGENCE_TOL,
     DECODE_HIGH,
     DECODE_LOW,
-    FIXED_HIDDEN_WEIGHTS,
-    HIDDEN_NODES,
     INIT_WEIGHT_SCALE,
     LEARNING_RATE,
     MAX_EPOCHS,
@@ -21,9 +19,43 @@ from culturesim.network import (
     TARGET_ACTIVATION,
     THETA,
     AutoAssociator,
+    _bias_of,
     decode_activation,
     sigmoid,
 )
+
+# The model's seven hidden nodes and their fixed wiring: rows follow
+# HIDDEN_NODES, columns follow canonical body-part order.  A part connects
+# to the hidden nodes of which it is an instance; MOVEMENT connects to
+# every part and reads absolute values, since negative movement is not
+# possible.  The simulation reads only MOVEMENT and SYMMETRY.
+HIDDEN_NODES = ("LEFT", "RIGHT", "ARM", "LEG", "SYMMETRY", "OPPOSITE", "MOVEMENT")
+FIXED_HIDDEN_WEIGHTS = (
+    (0, 1, 0, 1, 0, 0),    # LEFT
+    (0, 0, 1, 0, 1, 0),    # RIGHT
+    (0, 1, 1, 0, 0, 0),    # ARM
+    (0, 0, 0, 1, 1, 0),    # LEG
+    (0, 1, 1, 1, 1, 0),    # SYMMETRY
+    (0, 1, -1, 1, -1, 0),  # OPPOSITE
+    (1, 1, 1, 1, 1, 1),    # MOVEMENT
+)
+
+
+def reference_hidden(decoded):
+    """All seven hidden activations of a decoded output pattern."""
+    hidden = {}
+    for row, name in zip(FIXED_HIDDEN_WEIGHTS, HIDDEN_NODES):
+        if name == "MOVEMENT":
+            net = sum(w * abs(v) for w, v in zip(row, decoded))
+        else:
+            net = sum(w * v for w, v in zip(row, decoded))
+        hidden[name] = sigmoid(net)
+    return hidden
+
+
+def reference_bias(decoded):
+    hidden = reference_hidden(decoded)
+    return hidden["MOVEMENT"], hidden["SYMMETRY"]
 
 
 def fresh_net(seed=0, trend_learning=True):
@@ -39,10 +71,11 @@ def test_zero_net_input_activation_value():
 
 def test_neutral_pattern_outputs_sit_at_midpoint():
     net = fresh_net()
-    out = net.activate((0, 0, 0, 0, 0, 0))
+    out = net._forward((0, 0, 0, 0, 0, 0))
     # Zero inputs bypass the weights entirely, leaving only the bias term.
     for a in out:
         assert a == pytest.approx(sigmoid(0.0))
+    assert net.recall((0, 0, 0, 0, 0, 0)) == (0, 0, 0, 0, 0, 0)
     assert net.decoded == (0, 0, 0, 0, 0, 0)
 
 
@@ -61,7 +94,7 @@ def test_identity_recall_after_training_all_729():
         net = AutoAssociator(rng)
         assert net.train(sub), f"no convergence for {sub}"
         targets = [TARGET_ACTIVATION[v] for v in sub]
-        out = net.activate(sub)
+        out = net._forward(sub)
         for t, a in zip(targets, out):
             assert abs(t - a) < CONVERGENCE_TOL
         assert net.recall(sub) == sub
@@ -112,12 +145,20 @@ def test_zero_components_leave_their_weights_untrained():
 
 def test_hidden_wiring_is_fixed_and_reads_decoded_outputs():
     net = fresh_net(5)
-    wiring_before = FIXED_HIDDEN_WEIGHTS
+    assert net.invention_bias() == reference_bias(NEUTRAL)
     net.train((0, 1, 1, 1, 1, 1))
-    assert FIXED_HIDDEN_WEIGHTS is wiring_before  # immutable tuple constant
     # A converged net decodes back to its trained pattern, so the hidden
     # layer is reporting on that pattern.
     assert net.decoded == (0, 1, 1, 1, 1, 1)
+    assert net.invention_bias() == reference_bias(net.decoded)
+
+
+def test_bias_is_the_movement_and_symmetry_nodes_of_the_seven_node_table():
+    # Exact equality on every decoded pattern: the two written-out sums
+    # are the same ints as the table's rows, so the sigmoids agree bit
+    # for bit.
+    for decoded in all_subactions():
+        assert _bias_of(decoded) == reference_bias(decoded)
 
 
 def test_training_raises_movement_and_symmetry_bias():
@@ -202,13 +243,7 @@ class ReferenceNet:
         out = self._forward(sub)
         decoded = tuple(decode_activation(a) for a in out)
         self.decoded = decoded
-        hidden = {}
-        for row, name in zip(FIXED_HIDDEN_WEIGHTS, HIDDEN_NODES):
-            if name == "MOVEMENT":
-                net = sum(w * abs(v) for w, v in zip(row, decoded))
-            else:
-                net = sum(w * v for w, v in zip(row, decoded))
-            hidden[name] = sigmoid(net)
+        hidden = reference_hidden(decoded)
         self.hidden = hidden
         self._movement_bias = hidden["MOVEMENT"]
         self._symmetry_bias = hidden["SYMMETRY"]
@@ -269,7 +304,7 @@ def test_single_pass_training_is_bit_identical_to_the_reference(seed):
         sub = rng.choice(subs[:40] if rng.random() < 0.5 else subs)
         assert net.train(sub) == ref.train(sub)
         assert_same_state(net, ref)
-    assert net.hidden == ref.hidden
+    assert net.invention_bias() == (ref.hidden["MOVEMENT"], ref.hidden["SYMMETRY"])
 
 
 def test_single_pass_training_matches_the_reference_without_convergence():
@@ -289,9 +324,9 @@ def test_single_pass_training_matches_the_reference_without_convergence():
 def test_training_a_fresh_net_on_neutral_changes_nothing():
     net = fresh_net(21)
     before = ([row[:] for row in net.weights], net.decoded, net.converged,
-              net.invention_bias(), net.hidden)
+              net.invention_bias())
     assert net.train(NEUTRAL)
-    after = (net.weights, net.decoded, net.converged, net.invention_bias(), net.hidden)
+    after = (net.weights, net.decoded, net.converged, net.invention_bias())
     assert after == before
 
 

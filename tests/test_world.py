@@ -41,6 +41,45 @@ def test_neighbor_relation_is_symmetric():
             assert i in table[j]
 
 
+def test_neighbor_table_is_built_once_per_side_and_immutable():
+    table = neighbor_table(6)
+    assert neighbor_table(6) is table
+    assert World(small(lattice_side=6), 0).neighbors is table
+    assert type(table) is tuple and all(type(n) is tuple for n in table)
+    with pytest.raises(TypeError):
+        table[0] = (0, 0, 0, 0)
+
+
+def count_decisions(monkeypatch, cfg):
+    """Run ``cfg`` and count the agents that chose to invent and to imitate."""
+    calls = {"invent": 0, "imitate": 0}
+    for name in calls:
+        real = getattr(agent_ops, name)
+
+        def counted(*args, _name=name, _real=real):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(agent_ops, name, counted)
+    run_world(cfg, 0)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "p, low, high", [(0.0, 0.0, 0.0), (0.3, 0.28, 0.32), (1.0, 1.0, 1.0)],
+    ids=["p0", "p0.3", "p1"],
+)
+def test_agents_invent_with_probability_p_create(monkeypatch, p, low, high):
+    # Fixed roles with every agent a creator of creativity p: each active
+    # agent invents with probability p, and otherwise imitates.
+    cfg = WorldConfig(lattice_side=16, iterations=30, creator_fraction=1.0,
+                      creator_creativity=p)
+    calls = count_decisions(monkeypatch, cfg)
+    total = calls["invent"] + calls["imitate"]
+    assert total >= cfg.n_agents
+    assert low <= calls["invent"] / total <= high
+
+
 def test_config_validation_errors():
     with pytest.raises(ConfigError, match="creator_fraction"):
         WorldConfig(creator_fraction=1.5).validate()
@@ -179,7 +218,7 @@ def reference_step(self):
     for a in self.agents:
         if a.rng.random() < a.p_create:  # inlined decide()
             candidate = agent_ops.invent(
-                a, self.template_set, cfg.chaining_enabled, cfg.max_chain_length
+                a, cfg.chaining_enabled, cfg.max_chain_length
             )
             if candidate is not a.chain:
                 agent_ops.adopt_if_fitter(a, candidate, self.evaluate)
