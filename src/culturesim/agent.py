@@ -17,7 +17,7 @@ FLIP_PROBABILITY = 1.0 / 6.0
 _MAX_DRAW_TRIES = 16
 
 
-@dataclass
+@dataclass(slots=True)
 class Agent:
     id: int
     p_create: float

@@ -8,9 +8,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 HIST_BINS = 10
+
+
+def sum_floats(values: Iterable[float]) -> float:
+    """``values`` summed left to right from the int 0, which is what the
+    built-in ``sum`` computes before Python 3.12.  From 3.12 on, ``sum``
+    compensates float rounding, which changes the last digits of a mean,
+    so the float means here use this and keep their bytes on every
+    version.  Int sums are exact and keep ``sum``."""
+    total = 0
+    for v in values:
+        total += v
+    return total
 
 
 @dataclass
@@ -31,7 +43,7 @@ def npv(series: Sequence[float], r: float) -> float:
     """Net present value: sum of r^(t-1) * b_t."""
     if not (0.0 < r <= 1.0):
         raise ValueError(f"discount rate must be in (0, 1], got {r}")
-    return sum((r ** t) * b for t, b in enumerate(series))
+    return sum_floats((r ** t) * b for t, b in enumerate(series))
 
 
 def discount_rate(interest_percent: float) -> float:
@@ -125,7 +137,7 @@ def summarize_cell(
     uncensored = [t for t in ttts if not is_censored(t, horizon)]
     censored = len(ttts) - len(uncensored)
     mean_log = (
-        sum(math.log10(t) for t in uncensored) / len(uncensored)
+        sum_floats(math.log10(t) for t in uncensored) / len(uncensored)
         if uncensored
         else float("nan")
     )
@@ -136,7 +148,7 @@ def summarize_cell(
         mean_ttt=sum(ttts) / len(ttts),
         mean_ttt_log10=mean_log,
         censored_count=censored,
-        mean_piv=sum(pivs) / len(pivs),
+        mean_piv=sum_floats(pivs) / len(pivs),
     )
 
 
@@ -150,7 +162,7 @@ def average_series(runs: Sequence[RunSeries]) -> Dict[str, List[float]]:
         raise ValueError("runs have differing horizons")
     n = len(runs)
     mean_fitness = [
-        sum(r.mean_fitness[t] for r in runs) / n for t in range(horizon)
+        sum_floats(r.mean_fitness[t] for r in runs) / n for t in range(horizon)
     ]
     diversity = [sum(r.diversity[t] for r in runs) / n for t in range(horizon)]
     frac_low = []
@@ -163,9 +175,9 @@ def average_series(runs: Sequence[RunSeries]) -> Dict[str, List[float]]:
             lows.append(lo)
             mids.append(mid)
             highs.append(hi)
-        frac_low.append(sum(lows) / n)
-        frac_mid.append(sum(mids) / n)
-        frac_high.append(sum(highs) / n)
+        frac_low.append(sum_floats(lows) / n)
+        frac_mid.append(sum_floats(mids) / n)
+        frac_high.append(sum_floats(highs) / n)
     return {
         "mean_fitness": mean_fitness,
         "diversity": diversity,

@@ -17,10 +17,11 @@ the scores are ints, so the sum is exact on every Python version.
 from __future__ import annotations
 
 import functools
+import hashlib
 import json
 from importlib import resources
 from pathlib import Path
-from typing import Callable, FrozenSet, Iterable
+from typing import Callable, Dict, FrozenSet, Iterable
 
 from .actions import (
     ActionChain,
@@ -129,9 +130,20 @@ class TemplateSet:
 
     @classmethod
     def from_file(cls, path) -> "TemplateSet":
+        """The set a JSON array of template strings defines.  It is parsed
+        once per process for each distinct file contents (keyed by their
+        sha256), and then shared with its score table, which fills once."""
         path = Path(path)
+        data = path.read_bytes()
+        key = hashlib.sha256(data).hexdigest()
+        if key not in _FROM_CONTENTS:
+            _FROM_CONTENTS[key] = cls._parse(data, path)
+        return _FROM_CONTENTS[key]
+
+    @classmethod
+    def _parse(cls, data: bytes, path: Path) -> "TemplateSet":
         try:
-            raw = json.loads(path.read_text())
+            raw = json.loads(data)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: not valid JSON ({exc})") from exc
         if not isinstance(raw, list) or not all(isinstance(s, str) for s in raw):
@@ -166,3 +178,7 @@ class TemplateSet:
 
     def fitness_chain(self, chain: ActionChain) -> int:
         return sum(map(self.scores.__getitem__, chain))
+
+
+# sha256 of a template file's contents -> the set they define.
+_FROM_CONTENTS: Dict[str, TemplateSet] = {}

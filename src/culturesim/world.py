@@ -140,10 +140,21 @@ class WorldConfig:
         return hashlib.sha256(payload).hexdigest()
 
 
+def derive_seeds(parts: tuple, lasts) -> List[int]:
+    """``[derive_seed(*parts, last) for last in lasts]``, with the shared
+    ``"part:part:"`` prefix joined once."""
+    prefix = "".join(str(p) + ":" for p in parts)
+    sha256 = hashlib.sha256
+    return [
+        int.from_bytes(sha256((prefix + str(last)).encode()).digest()[:8], "big")
+        for last in lasts
+    ]
+
+
 def derive_seed(*parts) -> int:
-    """Stable 64-bit seed from (base_seed, run_index, agent_id, ...)."""
-    text = ":".join(str(p) for p in parts)
-    return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big")
+    """Stable 64-bit seed from (base_seed, run_index, agent_id, ...): the
+    first 8 bytes, big-endian, of the sha256 of the parts joined by ':'."""
+    return derive_seeds(parts[:-1], parts[-1:])[0]
 
 
 @functools.lru_cache(maxsize=None)
@@ -193,10 +204,12 @@ class World:
 
         n = cfg.n_agents
         self.neighbors = neighbor_table(cfg.lattice_side)
-        placement_rng = random.Random(derive_seed(cfg.base_seed, run_index))
-        creator_cells = frozenset(
-            placement_rng.sample(range(n), round(cfg.creator_fraction * n))
-        ) if cfg.mode == MODE_FIXED_ROLES else frozenset()
+        p_create = [INITIAL_P_CREATE] * n
+        if cfg.mode == MODE_FIXED_ROLES:
+            placement_rng = random.Random(derive_seed(cfg.base_seed, run_index))
+            p_create = [0.0] * n
+            for i in placement_rng.sample(range(n), round(cfg.creator_fraction * n)):
+                p_create[i] = cfg.creator_creativity
 
         initial_chain: ActionChain = (NEUTRAL,)
         initial_fitness = self.evaluate(initial_chain)
@@ -206,30 +219,29 @@ class World:
         net_class = (
             LastPattern if cfg.iterations <= DECODE_SAFE_CALLS else AutoAssociator
         )
+        trend_learning = cfg.trend_learning
+        Random = random.Random
         self.agents: List[Agent] = []
-        for i in range(n):
-            rng = random.Random(derive_seed(cfg.base_seed, run_index, i))
-            net = net_class(rng, trend_learning=cfg.trend_learning)
-            if cfg.mode == MODE_FIXED_ROLES:
-                p_create = cfg.creator_creativity if i in creator_cells else 0.0
-            else:
-                p_create = INITIAL_P_CREATE
-            self.agents.append(
-                Agent(
-                    id=i,
-                    p_create=p_create,
-                    chain=initial_chain,
-                    fitness=initial_fitness,
-                    net=net,
-                    rng=rng,
-                )
-            )
+        append = self.agents.append
+        for i, seed in enumerate(derive_seeds((cfg.base_seed, run_index), range(n))):
+            rng = Random(seed)
+            append(Agent(i, p_create[i], initial_chain, initial_fitness,
+                         net_class(rng, trend_learning), rng))
 
+        # The (chain, fitness) pair of every agent at the end of the last
+        # step, which imitation reads; see step().
         self.snapshot: List[Tuple[ActionChain, float]] = [
-            (a.chain, a.fitness) for a in self.agents
-        ]
-        # The agents that can still change their chain; see step().
-        self.active: List[Agent] = list(self.agents)
+            (initial_chain, initial_fitness)
+        ] * n
+        self.fitness_total = initial_fitness * n
+        # The agents that can still change their chain, and the chains of
+        # those that cannot; see step().  Under a template set whose best
+        # step is the neutral one, every agent starts absorbed.
+        top = self.absorbing_fitness
+        if top is not None and initial_fitness >= top:
+            self.active, self.absorbed_chains = [], {initial_chain}
+        else:
+            self.active, self.absorbed_chains = list(self.agents), set()
         self.series = RunSeries(
             mean_fitness=[],
             diversity=[],
@@ -246,17 +258,32 @@ class World:
         An agent at ``absorbing_fitness`` is no longer active.  Acting could
         not change its chain: no invention or neighbour is strictly fitter,
         and adoption is strict.  The only other effect of acting is on its
-        own RNG stream, which nothing else reads.  The SR update, the
-        snapshot and the statistics still cover every agent.
+        own RNG stream, which nothing else reads.
+
+        Only an adopting agent changes its chain or fitness, so without SR
+        the bookkeeping costs O(active agents), not O(lattice):
+
+        * the snapshot entry of each adopter is rewritten in place; every
+          other entry still holds its agent's pair;
+        * ``fitness_total`` moves by each adopter's gain.  Scores are ints,
+          so it is exact, and the mean is the one a full sum gives;
+        * an adopter that reaches ``absorbing_fitness`` leaves ``active``
+          and its chain joins ``absorbed_chains``, so diversity is the size
+          of their union with the active agents' chains.
+
+        The SR update and the p(C) histogram still cover every agent.
         """
         cfg = self.cfg
         snapshot = self.snapshot
         neighbors = self.neighbors
+        adopters = []
         for a in self.active:
             if a.rng.random() < a.p_create:  # create, else imitate
                 candidate = agent_ops.invent(a, cfg.chaining_enabled, cfg.max_chain_length)
-                if candidate is not a.chain:
-                    agent_ops.adopt_if_fitter(a, candidate, self.evaluate)
+                if candidate is not a.chain and agent_ops.adopt_if_fitter(
+                    a, candidate, self.evaluate
+                ):
+                    adopters.append(a)
             else:
                 up, down, left, right = neighbors[a.id]
                 found = agent_ops.imitate(
@@ -264,13 +291,22 @@ class World:
                 )
                 if found is not None:
                     agent_ops.adopt(a, found[0], found[1])
+                    adopters.append(a)
 
         top = self.absorbing_fitness
-        if top is not None:
+        total = self.fitness_total
+        absorbed = False
+        for a in adopters:
+            total += a.fitness - snapshot[a.id][1]
+            snapshot[a.id] = (a.chain, a.fitness)
+            if top is not None and a.fitness >= top:
+                self.absorbed_chains.add(a.chain)
+                absorbed = True
+        self.fitness_total = total
+        if absorbed:
             self.active = [a for a in self.active if a.fitness < top]
 
-        n = len(self.agents)
-        mean_fit = sum(a.fitness for a in self.agents) / n
+        mean_fit = total / len(self.agents)
         if cfg.sr_enabled:
             # Relative fitness compares an agent's implemented action with
             # the society mean of the same actions; both become "the
@@ -279,13 +315,12 @@ class World:
                 agent_ops.update_p_create(a, mean_fit)
 
         self.iteration += 1
-        self.snapshot = [(a.chain, a.fitness) for a in self.agents]
         self.series.mean_fitness.append(mean_fit)
         # Imitation shares chain objects, so each distinct object is hashed
         # once.  Ids are unique among live objects, and the agents hold
         # every chain alive while it is counted.
-        chains = {id(c): c for c, _ in self.snapshot}
-        self.series.diversity.append(len(set(chains.values())))
+        chains = {id(a.chain): a.chain for a in self.active}
+        self.series.diversity.append(len(self.absorbed_chains.union(chains.values())))
         hist = self.series.p_create_hist
         if cfg.sr_enabled or not hist:
             hist.append(p_create_histogram([a.p_create for a in self.agents]))

@@ -1,6 +1,8 @@
 """Discounting analyses and series metrics: NPV, TTT, PIV, histograms."""
 
+import functools
 import math
+import operator
 import random
 
 import pytest
@@ -15,9 +17,42 @@ from culturesim.analysis import (
     p_create_histogram,
     piv,
     segregation_stats,
+    sum_floats,
     summarize_cell,
     time_to_threshold,
 )
+
+
+def left_to_right(values):
+    return functools.reduce(operator.add, values, 0)
+
+
+def test_float_means_sum_left_to_right():
+    # Each input sums differently with compensation (math.fsum, and the
+    # built-in sum from Python 3.12), so a compensated mean fails here.
+    big = [1e16, 1.0, -1e16]
+    logs = [math.log10(t) for t in (2, 4, 7)]
+    hists = [
+        (1, 4, 0, 0, 0, 0, 0, 0, 0, 2),
+        (4, 6, 0, 0, 0, 0, 0, 0, 0, 1),
+        (4, 5, 0, 0, 0, 0, 0, 0, 0, 2),
+    ]
+    fracs = list(zip(*(segregation_stats(h) for h in hists)))
+    for values in (big, logs, *fracs):
+        assert left_to_right(values) != math.fsum(values)
+        assert sum_floats(values) == left_to_right(values)
+
+    assert npv(big, 1.0) == left_to_right(big)
+    cell = summarize_cell(0.5, 0.5, [2, 4, 7], big, horizon=10)
+    assert cell.mean_ttt_log10 == left_to_right(logs) / 3
+    assert cell.mean_piv == left_to_right(big) / 3
+    runs = [RunSeries([f], [1], [h], "d", i) for i, (f, h) in enumerate(zip(big, hists))]
+    avg = average_series(runs)
+    assert avg["mean_fitness"] == [left_to_right(big) / 3]
+    low, high, mid = fracs
+    assert avg["frac_low"] == [left_to_right(low) / 3]
+    assert avg["frac_mid"] == [left_to_right(mid) / 3]
+    assert avg["frac_high"] == [left_to_right(high) / 3]
 
 
 def test_npv_discounts_geometrically():

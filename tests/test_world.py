@@ -1,8 +1,16 @@
 """World construction, lattice topology, determinism, and run dynamics."""
 
+import hashlib
+import json
+import random
+from dataclasses import replace
+from importlib import resources
+
 import pytest
 
 from culturesim import agent as agent_ops
+from culturesim import fitness
+from culturesim.fitness import TemplateSet
 from culturesim.analysis import p_create_histogram
 from culturesim.world import (
     ConfigError,
@@ -11,6 +19,7 @@ from culturesim.world import (
     World,
     WorldConfig,
     derive_seed,
+    derive_seeds,
     neighbor_table,
     run_world,
 )
@@ -312,3 +321,124 @@ def test_config_field_types_are_checked(kw, message):
 
 def test_ints_are_accepted_as_floats():
     WorldConfig(tau=35, creator_fraction=1, creator_creativity=0).validate()
+
+
+def test_derive_seed_keeps_its_rule():
+    # sha256 of the parts joined by ':', first 8 bytes big-endian.
+    def rule(*parts):
+        text = ":".join(str(p) for p in parts)
+        return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big")
+
+    for parts in [(0,), (0, 3), (7, 2, 1023), (2**70, -5, 12), ("a", 1.5)]:
+        assert derive_seed(*parts) == rule(*parts)
+
+
+@pytest.mark.parametrize(
+    "base, run", [(0, 0), (0, 1), (7, 3), (-4, 2), (2**63 + 5, 10**20)]
+)
+def test_agent_seeds_are_derive_seed_of_base_run_and_id(base, run):
+    n = 1024
+    assert derive_seeds((base, run), range(n)) == [derive_seed(base, run, i) for i in range(n)]
+    world = World(small(lattice_side=6, base_seed=base), run)
+    for i, a in enumerate(world.agents):
+        rng = random.Random(derive_seed(base, run, i))
+        rng.getrandbits(72 * 32)  # the network's initial weight draws
+        assert a.rng.getstate() == rng.getstate()
+
+
+def test_agents_have_slots_and_no_dict():
+    agent = World(small(), 0).agents[0]
+    assert not hasattr(agent, "__dict__")
+    with pytest.raises(AttributeError):
+        agent.color = "red"
+
+
+def test_snapshot_rewrites_only_the_agents_that_changed():
+    world = World(small(lattice_side=10, iterations=100), 0)
+    absorbed = {}
+    for _ in range(40):
+        before = list(world.snapshot)
+        world.step()
+        assert world.snapshot == [(a.chain, a.fitness) for a in world.agents]
+        for i, pair in absorbed.items():
+            assert world.snapshot[i] is pair
+        for a in world.agents:
+            if a.chain is before[a.id][0]:
+                assert world.snapshot[a.id] is before[a.id]
+        active = {a.id for a in world.active}
+        absorbed = {i: world.snapshot[i] for i in range(world.cfg.n_agents) if i not in active}
+    assert 0 < len(absorbed) < world.cfg.n_agents
+
+
+def neutral_best_templates(tmp_path):
+    """A template file under which the neutral step scores best."""
+    path = tmp_path / "neutral.json"
+    path.write_text(json.dumps(["000000", "1*****"]))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "kw",
+    [
+        dict(creator_fraction=0.5, creator_creativity=0.6),
+        dict(mode=MODE_SHARED_P, sr_enabled=True),
+        dict(mode=MODE_SHARED_P, fitness_regime=REGIME_TEMPLATE),
+        dict(mode=MODE_SHARED_P, sr_enabled=True, fitness_regime=REGIME_TEMPLATE,
+             chaining_enabled=True),
+        dict(fitness_regime=REGIME_TEMPLATE, template_file=neutral_best_templates),
+    ],
+    ids=["fixed_roles", "shared_p_sr", "template_no_chaining", "chaining_sr",
+         "neutral_best"],
+)
+@pytest.mark.parametrize("side", [7, 12])
+def test_active_bookkeeping_matches_the_reference_step(kw, side, tmp_path):
+    # 49 and 144 agents: means of sums that are not powers of two.
+    if callable(kw.get("template_file")):
+        kw = dict(kw, template_file=kw["template_file"](tmp_path))
+    cfg = WorldConfig(lattice_side=side, iterations=100, **kw)
+    world, ref = World(cfg, 0), World(cfg, 0)
+    for _ in range(cfg.iterations):
+        world.step()
+        reference_step(ref)
+        assert world.series == ref.series
+        assert world.snapshot == ref.snapshot
+        assert [(a.chain, a.fitness, a.p_create) for a in world.agents] == [
+            (a.chain, a.fitness, a.p_create) for a in ref.agents
+        ]
+        top = world.absorbing_fitness
+        assert world.active == [
+            a for a in world.agents if top is None or a.fitness < top
+        ]
+    assert World(cfg, 0).run() == ref.series
+
+
+def test_a_template_file_is_parsed_once_per_process(tmp_path, monkeypatch):
+    templates = json.loads(
+        resources.files("culturesim.data").joinpath("default_templates.json").read_text()
+    )
+    # Contents no other test writes, so this process has not parsed them.
+    path = tmp_path / "templates.json"
+    path.write_text(json.dumps(templates, indent=3))
+    parsed, scored = [], []
+    real_parse, real_score = fitness.parse_template, TemplateSet._score
+
+    def counted_parse(text):
+        parsed.append(text)
+        return real_parse(text)
+
+    def counted_score(self, sub):
+        scored.append(sub)
+        return real_score(self, sub)
+
+    monkeypatch.setattr(fitness, "parse_template", counted_parse)
+    monkeypatch.setattr(TemplateSet, "_score", counted_score)
+    cfg = small(fitness_regime=REGIME_TEMPLATE, template_file=str(path))
+    default = replace(cfg, template_file=None)
+    for run in range(4):
+        series = run_world(cfg, run)
+        assert series.config_digest == cfg.digest()
+        expected = run_world(default, run)
+        assert (series.mean_fitness, series.diversity) == (
+            expected.mean_fitness, expected.diversity)
+    assert parsed == templates
+    assert len(scored) <= 729
