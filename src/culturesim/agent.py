@@ -7,7 +7,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterable, Optional, Sequence, Tuple, Union
 
 from .actions import ActionChain, SubAction
 from .fitness import ACCEPTABLE_SUBACTIONS
@@ -116,12 +116,19 @@ def invent(agent: Agent, chaining_enabled: bool, max_chain_length: int) -> Actio
     Earlier steps are immutable; in chaining mode the extension loop may
     append further acceptable steps.  It is entered only when the new
     final step is acceptable, which is its own first test.
+
+    ``agent.chain`` itself is returned when there is nothing to score: the
+    new final step collides with the step before it, or the mutation
+    changed nothing and nothing was appended.  An unchanged final step
+    keeps the chain object, and ``extend_chain`` returns what it is given
+    when it appends nothing.
     """
+    chain = agent.chain
     movement_bias, symmetry_bias = agent.net.invention_bias()
-    new_final = mutate_subaction(agent.chain[-1], movement_bias, symmetry_bias, agent.rng)
-    steps = agent.chain[:-1] + (new_final,)
-    if len(steps) > 1 and steps[-1] == steps[-2]:
-        return agent.chain  # mutation collided with the previous step
+    new_final = mutate_subaction(chain[-1], movement_bias, symmetry_bias, agent.rng)
+    if len(chain) > 1 and new_final == chain[-2]:
+        return chain  # mutation collided with the previous step
+    steps = chain if new_final is chain[-1] else chain[:-1] + (new_final,)
     if chaining_enabled and new_final in ACCEPTABLE_SUBACTIONS:
         steps = extend_chain(
             steps, max_chain_length, movement_bias, symmetry_bias, agent.rng
@@ -133,24 +140,35 @@ _PERMUTATIONS_4 = tuple(itertools.permutations(range(4)))
 
 
 def imitate(
-    agent: Agent, neighbors: Sequence[Tuple[ActionChain, float]]
+    agent: Agent, snapshot: Sequence[Tuple[ActionChain, float]], cells: Sequence[int]
 ) -> Optional[Tuple[ActionChain, float]]:
-    """Lazy scan: the four neighbours in a random order drawn with one
-    ``random()``; the first strictly fitter one wins, and its
-    ``(chain, fitness)`` pair is returned as it stands."""
+    """Lazy scan: the four neighbour cells in a random order drawn with one
+    ``random()``; the first strictly fitter ``snapshot[cell]`` wins, and
+    that ``(chain, fitness)`` pair is returned as it stands."""
     own = agent.fitness
     for idx in _PERMUTATIONS_4[int(agent.rng.random() * 24)]:
-        pair = neighbors[idx]
+        pair = snapshot[cells[idx]]
         if pair[1] > own:
             return pair
     return None
 
 
 def adopt_if_fitter(
-    agent: Agent, candidate: ActionChain, evaluate: Callable[[ActionChain], float]
+    agent: Agent, candidate: ActionChain, score: Callable[[SubAction], float]
 ) -> bool:
-    """Adopt a strictly fitter candidate and train the network on its final step."""
-    fit = evaluate(candidate)
+    """Adopt a strictly fitter candidate and train the network on its final step.
+
+    ``score`` is the world's step scorer.  The candidate must come from
+    ``invent(agent, ...)``: it then shares every step of ``agent.chain``
+    but the last, so only that step and the ones after it are scored.
+    Step scores are ints and ``agent.fitness`` is the sum over its chain,
+    so the result is exactly the candidate's whole-chain fitness.
+    """
+    chain = agent.chain
+    k = len(chain) - 1
+    fit = agent.fitness - score(chain[k])
+    for step in candidate[k:]:
+        fit += score(step)
     if fit <= agent.fitness:
         return False
     adopt(agent, candidate, fit)
@@ -172,15 +190,17 @@ def adopt(agent: Agent, chain: ActionChain, fit: float) -> None:
         agent.net.train(chain[-1])
 
 
-def update_p_create(agent: Agent, mean_fitness_prev: float) -> None:
-    """Multiplicative social-regulation update, clamped to [0, 1].
+def update_p_create(agents: Iterable[Agent], mean_fitness_prev: float) -> None:
+    """Multiplicative social-regulation update of every agent, clamped to
+    [0, 1].
 
     A zero previous mean (the initial immobile society) carries no signal,
     so the relative fitness is taken as 1.
     """
     if mean_fitness_prev == 0:
         return
-    p = agent.p_create * (agent.fitness / mean_fitness_prev)
-    # min(1.0, max(0.0, p)) without the calls, bit for bit: NaN and -0.0
-    # fail ``p > 0.0`` and give 0.0, as max(0.0, p) does.
-    agent.p_create = 1.0 if p >= 1.0 else p if p > 0.0 else 0.0
+    for agent in agents:
+        p = agent.p_create * (agent.fitness / mean_fitness_prev)
+        # min(1.0, max(0.0, p)) without the calls, bit for bit: NaN and -0.0
+        # fail ``p > 0.0`` and give 0.0, as max(0.0, p) does.
+        agent.p_create = 1.0 if p >= 1.0 else p if p > 0.0 else 0.0

@@ -21,7 +21,7 @@ import hashlib
 import json
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Dict, FrozenSet, Iterable
+from typing import Callable, Dict, FrozenSet, Iterable, Optional
 
 from .actions import (
     ActionChain,
@@ -127,17 +127,21 @@ class TemplateSet:
             raise ValueError("template set is empty")
         self._orders = tuple(template_order(t) for t in self.templates)
         self.scores = ScoreTable(self._score)
+        # The sha256 of the file contents the set was parsed from, if any.
+        self.sha256: Optional[str] = None
 
     @classmethod
     def from_file(cls, path) -> "TemplateSet":
         """The set a JSON array of template strings defines.  It is parsed
         once per process for each distinct file contents (keyed by their
-        sha256), and then shared with its score table, which fills once."""
+        sha256, kept as ``sha256``), and then shared with its score table,
+        which fills once."""
         path = Path(path)
         data = path.read_bytes()
         key = hashlib.sha256(data).hexdigest()
         if key not in _FROM_CONTENTS:
-            _FROM_CONTENTS[key] = cls._parse(data, path)
+            ts = _FROM_CONTENTS[key] = cls._parse(data, path)
+            ts.sha256 = key
         return _FROM_CONTENTS[key]
 
     @classmethod

@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import Callable, List, Optional, Tuple
 
 from . import agent as agent_ops
-from .actions import ActionChain, NEUTRAL
+from .actions import ActionChain, NEUTRAL, SubAction
 from .agent import Agent
 from .analysis import RunSeries, p_create_histogram
 from .fitness import SINGLE_STEP_SCORES, TemplateSet, fitness_single_chain
@@ -125,18 +125,22 @@ class WorldConfig:
             raise ConfigError(f"tau must be positive, got {self.tau}")
         return self
 
-    def digest_fields(self) -> dict:
+    def digest_fields(self, template_sha256: Optional[str] = None) -> dict:
         """The fields a digest covers.  A template file the run reads is
         named by the sha256 of its contents, not by its path, so an edited
-        file changes the digest and a moved one does not."""
+        file changes the digest and a moved one does not.  A caller that
+        has read the file already passes that sha256 (``TemplateSet.sha256``)
+        and the file is not read again."""
         d = asdict(self)
         if self.template_file and self.fitness_regime == REGIME_TEMPLATE:
-            contents = Path(self.template_file).read_bytes()
-            d["template_file"] = "sha256:" + hashlib.sha256(contents).hexdigest()
+            if template_sha256 is None:
+                contents = Path(self.template_file).read_bytes()
+                template_sha256 = hashlib.sha256(contents).hexdigest()
+            d["template_file"] = "sha256:" + template_sha256
         return d
 
-    def digest(self) -> str:
-        payload = json.dumps(self.digest_fields(), sort_keys=True).encode()
+    def digest(self, template_sha256: Optional[str] = None) -> str:
+        payload = json.dumps(self.digest_fields(template_sha256), sort_keys=True).encode()
         return hashlib.sha256(payload).hexdigest()
 
 
@@ -182,6 +186,7 @@ class World:
         self.run_index = run_index
         self.iteration = 0
 
+        template_sha256 = None
         if cfg.fitness_regime == REGIME_TEMPLATE:
             ts = (
                 TemplateSet.from_file(cfg.template_file)
@@ -190,9 +195,13 @@ class World:
             )
             self.evaluate: Callable[[ActionChain], float] = ts.fitness_chain
             scores = ts.scores
+            template_sha256 = ts.sha256
         else:
             self.evaluate = fitness_single_chain
             scores = SINGLE_STEP_SCORES
+        # A chain's fitness is the sum of its steps' scores; step() scores
+        # only the steps an invention changes.
+        self.score: Callable[[SubAction], float] = scores.__getitem__
 
         # Without chaining every chain is a single step, so no agent can
         # score above the best single step.  Once every agent scores it,
@@ -246,7 +255,7 @@ class World:
             mean_fitness=[],
             diversity=[],
             p_create_hist=[],
-            config_digest=cfg.digest(),
+            config_digest=cfg.digest(template_sha256),
             run_index=run_index,
         )
 
@@ -274,23 +283,26 @@ class World:
         The SR update and the p(C) histogram still cover every agent.
         """
         cfg = self.cfg
+        chaining_enabled, max_chain_length = cfg.chaining_enabled, cfg.max_chain_length
         snapshot = self.snapshot
         neighbors = self.neighbors
+        score = self.score
+        # Looked up once per step, so a patched or traced kernel installed
+        # before the step still sees every call.
+        invent = agent_ops.invent
+        adopt_if_fitter = agent_ops.adopt_if_fitter
+        imitate = agent_ops.imitate
+        adopt = agent_ops.adopt
         adopters = []
         for a in self.active:
             if a.rng.random() < a.p_create:  # create, else imitate
-                candidate = agent_ops.invent(a, cfg.chaining_enabled, cfg.max_chain_length)
-                if candidate is not a.chain and agent_ops.adopt_if_fitter(
-                    a, candidate, self.evaluate
-                ):
+                candidate = invent(a, chaining_enabled, max_chain_length)
+                if candidate is not a.chain and adopt_if_fitter(a, candidate, score):
                     adopters.append(a)
             else:
-                up, down, left, right = neighbors[a.id]
-                found = agent_ops.imitate(
-                    a, (snapshot[up], snapshot[down], snapshot[left], snapshot[right])
-                )
+                found = imitate(a, snapshot, neighbors[a.id])
                 if found is not None:
-                    agent_ops.adopt(a, found[0], found[1])
+                    adopt(a, found[0], found[1])
                     adopters.append(a)
 
         top = self.absorbing_fitness
@@ -311,8 +323,7 @@ class World:
             # Relative fitness compares an agent's implemented action with
             # the society mean of the same actions; both become "the
             # previous iteration" by the time the next decisions are drawn.
-            for a in self.agents:
-                agent_ops.update_p_create(a, mean_fit)
+            agent_ops.update_p_create(self.agents, mean_fit)
 
         self.iteration += 1
         self.series.mean_fitness.append(mean_fit)

@@ -21,7 +21,13 @@ from culturesim.agent import (
     mutate_subaction,
     update_p_create,
 )
-from culturesim.fitness import ACCEPTABLE_SUBACTIONS, fitness_single
+from culturesim.fitness import (
+    ACCEPTABLE_SUBACTIONS,
+    SINGLE_STEP_SCORES,
+    TemplateSet,
+    fitness_single,
+    fitness_single_chain,
+)
 from culturesim.network import AutoAssociator
 
 NEUTRAL = (0, 0, 0, 0, 0, 0)
@@ -143,45 +149,45 @@ def test_invent_rejects_collision_with_previous_step():
 def test_imitate_lazy_scan_returns_strictly_fitter_neighbor():
     agent = make_agent(fitness=10.0, seed=41)
     neighbors = [((NEUTRAL,), 4.0), ((NEUTRAL,), 10.0), ((NEUTRAL,), 9.0), ((NEUTRAL,), 2.0)]
-    assert imitate(agent, neighbors) is None
+    assert imitate(agent, neighbors, (0, 1, 2, 3)) is None
 
     fit_chain = ((0, 1, 1, 1, 1, 1),)
     neighbors[2] = (fit_chain, 39.0)
-    found = imitate(agent, neighbors)
+    found = imitate(agent, neighbors, (0, 1, 2, 3))
     assert found == (fit_chain, 39.0)
 
 
 def test_imitate_never_adopts_equal_fitness():
     agent = make_agent(fitness=39.0, seed=43)
     neighbors = [(((0, 1, 1, 1, 1, 1),), 39.0)] * 4
-    assert imitate(agent, neighbors) is None
+    assert imitate(agent, neighbors, (0, 1, 2, 3)) is None
 
 
 def test_adopt_if_fitter_is_strict_and_trains_network():
     agent = make_agent(chain=(NEUTRAL,), fitness=0.0, seed=47)
     candidate = ((0, 1, 1, 1, 1, 1),)
-    assert adopt_if_fitter(agent, candidate, lambda c: float(fitness_single(c[-1])))
+    assert adopt_if_fitter(agent, candidate, lambda s: float(fitness_single(s)))
     assert agent.chain == candidate
     assert agent.fitness == 39.0
     assert agent.net.recall(candidate[-1]) == candidate[-1]
 
     same = ((0, -1, -1, -1, -1, -1),)
-    assert not adopt_if_fitter(agent, same, lambda c: 39.0)
+    assert not adopt_if_fitter(agent, same, lambda s: 39.0)
     assert agent.chain == candidate
 
 
 def test_update_p_create_multiplies_by_relative_fitness():
     agent = make_agent(p_create=0.4, fitness=6.0)
-    update_p_create(agent, 12.0)
+    update_p_create([agent], 12.0)
     assert agent.p_create == pytest.approx(0.2)
 
 
 def test_update_p_create_clamps_to_unit_interval():
     agent = make_agent(p_create=0.8, fitness=30.0)
-    update_p_create(agent, 10.0)
+    update_p_create([agent], 10.0)
     assert agent.p_create == 1.0
     agent.fitness = 0.0
-    update_p_create(agent, 10.0)
+    update_p_create([agent], 10.0)
     assert agent.p_create == 0.0
 
 
@@ -189,7 +195,7 @@ def test_update_p_create_ignores_zero_mean():
     # The initial immobile society has mean fitness 0; relative fitness
     # carries no signal there.
     agent = make_agent(p_create=0.5, fitness=0.0)
-    update_p_create(agent, 0.0)
+    update_p_create([agent], 0.0)
     assert agent.p_create == 0.5
 
 
@@ -342,7 +348,9 @@ def test_invent_and_extend_chain_match_their_copying_forms(max_chain_length):
             got = invent(agent, True, max_chain_length)
             want = reference_invent(ref, True, max_chain_length)
             assert got == want
-            assert (got is agent.chain) == (want is ref.chain)
+            # The chain itself comes back for a collision, as before, and
+            # now also for a no-op: an unchanged final step, nothing appended.
+            assert (got is agent.chain) == (want is ref.chain or want == ref.chain)
             appended += len(got) > len(chain)
             at_max += len(got) == max_chain_length
         assert agent.rng.getstate() == ref.rng.getstate()
@@ -360,6 +368,60 @@ def test_invent_and_extend_chain_match_their_copying_forms(max_chain_length):
         assert appended > 0
 
 
+SCORERS = {
+    "templates": (TemplateSet.default().scores.__getitem__, TemplateSet.default().fitness_chain),
+    "single_step": (SINGLE_STEP_SCORES.__getitem__, fitness_single_chain),
+}
+
+
+@pytest.mark.parametrize("max_chain_length", [1, 6, 50])
+@pytest.mark.parametrize("scorer", sorted(SCORERS))
+def test_adopt_if_fitter_scores_inventions_as_the_whole_chain_does(scorer, max_chain_length):
+    # On invent's outputs, the incremental sum decides and adopts exactly
+    # what the whole-chain fitness would: the same verdict, the same value.
+    score, evaluate = SCORERS[scorer]
+    chain_rng = random.Random(79 + max_chain_length)
+    seen = dict(collision=0, no_op=0, appended=0, at_max=0, adopted=0, rejected=0)
+    for seed in range(150):
+        chain = random_chain(chain_rng, chain_rng.randint(1, max_chain_length))
+        agent = make_agent(chain=chain, fitness=evaluate(chain), seed=seed)
+        for _ in range(20):
+            before_chain, before_fit = agent.chain, agent.fitness
+            state = agent.rng.getstate()
+            candidate = invent(agent, seed % 3 != 0, max_chain_length)
+            if candidate is before_chain:
+                # Replay the mutation to tell a collision from a no-op.
+                after = agent.rng.getstate()
+                agent.rng.setstate(state)
+                mb, sb = agent.net.invention_bias()
+                new_final = mutate_subaction(before_chain[-1], mb, sb, agent.rng)
+                agent.rng.setstate(after)
+                if new_final is before_chain[-1]:
+                    seen["no_op"] += 1
+                else:
+                    assert new_final == before_chain[-2]
+                    seen["collision"] += 1
+                continue
+            # Anything else is scored, so a no-op never comes back as a copy.
+            assert candidate != before_chain
+            seen["appended"] += len(candidate) > len(before_chain)
+            seen["at_max"] += len(candidate) == max_chain_length
+            want = evaluate(candidate)
+            adopted = adopt_if_fitter(agent, candidate, score)
+            assert adopted == (want > before_fit)
+            if adopted:
+                seen["adopted"] += 1
+                assert agent.chain is candidate
+                assert type(agent.fitness) is int and agent.fitness == want
+            else:
+                seen["rejected"] += 1
+                assert agent.chain is before_chain and agent.fitness == before_fit
+    assert seen["no_op"] > 0 and seen["at_max"] > 0
+    assert seen["adopted"] > 0 and seen["rejected"] > 0
+    if max_chain_length > 1:
+        assert seen["collision"] > 0 and seen["appended"] > 0
+
+
 def test_imitate_matches_its_earlier_form_and_returns_the_pair_itself():
     pairs_rng = random.Random(67)
     agent, ref = make_agent(seed=71), make_agent(seed=71)
@@ -367,8 +429,10 @@ def test_imitate_matches_its_earlier_form_and_returns_the_pair_itself():
     for _ in range(2000):
         own = pairs_rng.randint(0, 4)
         agent.fitness = ref.fitness = own
-        neighbors = tuple(((NEUTRAL,), pairs_rng.randint(0, 4)) for _ in range(4))
-        got = imitate(agent, neighbors)
+        snapshot = [((NEUTRAL,), pairs_rng.randint(0, 4)) for _ in range(9)]
+        cells = tuple(pairs_rng.randrange(9) for _ in range(4))
+        neighbors = tuple(snapshot[c] for c in cells)
+        got = imitate(agent, snapshot, cells)
         assert got == reference_imitate(ref, neighbors)
         if got is not None:
             found += 1
@@ -391,7 +455,7 @@ CLAMP_VALUES = [
 @pytest.mark.parametrize("x", CLAMP_VALUES, ids=repr)
 def test_update_p_create_clamp_is_bit_identical_to_min_max(x):
     agent = make_agent(p_create=x, fitness=1.0)
-    update_p_create(agent, 1.0)  # relative fitness 1.0: the clamp sees x itself
+    update_p_create([agent], 1.0)  # relative fitness 1.0: the clamp sees x itself
     want = min(1.0, max(0.0, x))
     assert type(agent.p_create) is float
     assert bits(agent.p_create) == bits(want)
@@ -402,5 +466,5 @@ def test_update_p_create_matches_min_max_on_random_products():
     for _ in range(5000):
         p, fit, mean = rng.random(), rng.randint(0, 60), rng.uniform(0.5, 40.0)
         agent = make_agent(p_create=p, fitness=fit)
-        update_p_create(agent, mean)
+        update_p_create([agent], mean)
         assert bits(agent.p_create) == bits(min(1.0, max(0.0, p * (fit / mean))))

@@ -1,5 +1,6 @@
 """Experiment configuration, presets, parallel execution, and file output."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -24,7 +25,14 @@ from culturesim.experiments import (
     run_jobs,
     worker_count,
 )
-from culturesim.world import ConfigError, MODE_SHARED_P, REGIME_TEMPLATE, WorldConfig
+from culturesim.world import (
+    ConfigError,
+    MODE_SHARED_P,
+    REGIME_TEMPLATE,
+    WorldConfig,
+    run_world,
+)
+from sweep_helpers import tiny_world
 
 
 def write_config(tmp_path, payload):
@@ -87,12 +95,6 @@ def test_worker_count_env_var(monkeypatch):
         worker_count()
     monkeypatch.delenv("CULTURESIM_WORKERS")
     assert worker_count() >= 1
-
-
-def tiny_world(**kw):
-    base = dict(lattice_side=6, iterations=8)
-    base.update(kw)
-    return WorldConfig(**base)
 
 
 def test_custom_execution_writes_series_manifest_and_echo(tmp_path):
@@ -227,19 +229,11 @@ def test_a_failing_job_runs_once_and_raises(tmp_path, workers):
     assert log.read_text() == "run\n"
 
 
-class DyingConfig:
-    """Stands in for a WorldConfig whose worker process dies mid-run, as an
-    OOM kill would end it."""
-
-    def validate(self):
-        os._exit(1)
-
-
 def test_a_dead_worker_fails_the_sweep_instead_of_hanging_it():
     here = Path(__file__).resolve().parent
     code = (
         "from culturesim.experiments import run_jobs\n"
-        "from test_experiments import DyingConfig, tiny_world\n"
+        "from sweep_helpers import DyingConfig, tiny_world\n"
         "run_jobs([(DyingConfig(), 0), (tiny_world(), 0), (tiny_world(), 1)], 2)\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -334,3 +328,37 @@ def test_digests_without_a_template_file_are_unchanged(tmp_path):
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["config_digest"] == (
         "f591413eeb00cdb4754204494c869fa12d9b31eec6bb23e1c42414c23ad653f7")
+
+
+def test_a_run_reads_its_template_file_once(tmp_path, monkeypatch):
+    path = tmp_path / "templates.json"
+    path.write_text('["0*****", "01-1***", "0-11***", "***1-1*"]')
+    world = WorldConfig(lattice_side=4, iterations=6, mode=MODE_SHARED_P, sr_enabled=True,
+                        fitness_regime=REGIME_TEMPLATE, chaining_enabled=True,
+                        template_file=str(path))
+    spec = ExperimentSpec(world=world, runs_per_cell=3, output_dir=str(tmp_path / "out"))
+    reads = []
+    real_read_bytes = Path.read_bytes
+
+    def counted_read_bytes(self):
+        if self == path:
+            reads.append(self)
+        return real_read_bytes(self)
+
+    monkeypatch.setattr(Path, "read_bytes", counted_read_bytes)
+    # Recorded when each run read the file twice: the digests name the
+    # same contents now that a run reads it once.
+    world_digest = "45f1a3a2bae02d2e0cd7e8ad169da5591e3cd507f5cfe5844967f52f27bc030b"
+    for run in range(3):
+        series = run_world(world, run)
+        assert len(reads) == run + 1
+        assert series.config_digest == world_digest
+    reads.clear()
+    execute(spec, workers=1)
+    # One read per run, one in validate and one for the manifest's digest.
+    assert len(reads) == 3 + 2
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["config_digest"] == (
+        "ad805952645f6cfae203ca3b226342e3a5bd3ccbe38b1dcf3371d23a0b603542")
+    assert hashlib.sha256((tmp_path / "out" / "series.csv").read_bytes()).hexdigest() == (
+        "c015114a42740458ec6daba7d34583274a62bef72fe821e4608f481e1ae852ff")

@@ -10,6 +10,7 @@ import pytest
 
 from culturesim import agent as agent_ops
 from culturesim import fitness
+from culturesim import world as world_module
 from culturesim.fitness import TemplateSet
 from culturesim.analysis import p_create_histogram
 from culturesim.world import (
@@ -217,23 +218,69 @@ def test_absorbed_run_stops_early_with_the_stepped_series(kw, monkeypatch):
     assert series.p_create_hist == stepped.series.p_create_hist
 
 
+# The agent kernels as they were before the step scored only the steps an
+# invention changes, kept verbatim, for reference_step: invent returned the
+# chain itself for a collision only, adopt_if_fitter summed the whole
+# candidate chain, imitate took the four neighbour pairs, and
+# update_p_create updated one agent.
+
+
+def reference_invent(agent, chaining_enabled, max_chain_length):
+    movement_bias, symmetry_bias = agent.net.invention_bias()
+    new_final = agent_ops.mutate_subaction(
+        agent.chain[-1], movement_bias, symmetry_bias, agent.rng)
+    steps = agent.chain[:-1] + (new_final,)
+    if len(steps) > 1 and steps[-1] == steps[-2]:
+        return agent.chain  # mutation collided with the previous step
+    if chaining_enabled and new_final in agent_ops.ACCEPTABLE_SUBACTIONS:
+        steps = agent_ops.extend_chain(
+            steps, max_chain_length, movement_bias, symmetry_bias, agent.rng
+        )
+    return steps
+
+
+def reference_imitate(agent, neighbors):
+    own = agent.fitness
+    for idx in agent_ops._PERMUTATIONS_4[int(agent.rng.random() * 24)]:
+        pair = neighbors[idx]
+        if pair[1] > own:
+            return pair
+    return None
+
+
+def reference_adopt_if_fitter(agent, candidate, evaluate):
+    fit = evaluate(candidate)
+    if fit <= agent.fitness:
+        return False
+    agent_ops.adopt(agent, candidate, fit)
+    return True
+
+
+def reference_update_p_create(agent, mean_fitness_prev):
+    if mean_fitness_prev == 0:
+        return
+    p = agent.p_create * (agent.fitness / mean_fitness_prev)
+    agent.p_create = 1.0 if p >= 1.0 else p if p > 0.0 else 0.0
+
+
 def reference_step(self):
     """``World.step`` as it was before absorbed agents were skipped, kept
-    verbatim (less a write of a field nothing read): every agent acts, and
-    the p(C) histogram is rebuilt every iteration."""
+    verbatim (less a write of a field nothing read), with the reference
+    kernels above: every agent acts, every invention is scored as a whole
+    chain, and the p(C) histogram is rebuilt every iteration."""
     cfg = self.cfg
     snapshot = self.snapshot
     neighbors = self.neighbors
     for a in self.agents:
         if a.rng.random() < a.p_create:  # inlined decide()
-            candidate = agent_ops.invent(
+            candidate = reference_invent(
                 a, cfg.chaining_enabled, cfg.max_chain_length
             )
             if candidate is not a.chain:
-                agent_ops.adopt_if_fitter(a, candidate, self.evaluate)
+                reference_adopt_if_fitter(a, candidate, self.evaluate)
         else:
             up, down, left, right = neighbors[a.id]
-            found = agent_ops.imitate(
+            found = reference_imitate(
                 a, (snapshot[up], snapshot[down], snapshot[left], snapshot[right])
             )
             if found is not None:
@@ -243,7 +290,7 @@ def reference_step(self):
     mean_fit = sum(a.fitness for a in self.agents) / n
     if cfg.sr_enabled:
         for a in self.agents:
-            agent_ops.update_p_create(a, mean_fit)
+            reference_update_p_create(a, mean_fit)
 
     self.iteration += 1
     self.series.mean_fitness.append(mean_fit)
@@ -285,6 +332,37 @@ def test_skipping_absorbed_agents_matches_the_reference_step(kw, run_index):
         assert len(world.active) == cfg.n_agents
     else:
         assert skipped_at is not None and skipped_at < cfg.iterations
+
+
+# The names the benchmark's tracer wraps from outside the package
+# (perfbench/spans.py): World.step must keep reaching each through its
+# module, or the tracer's counts and spans silently read 0.
+TRACED_AGENT_KERNELS = (
+    "invent", "extend_chain", "adopt_if_fitter", "imitate", "adopt", "update_p_create",
+)
+
+
+def test_a_step_calls_every_traced_kernel_through_its_module(monkeypatch):
+    calls = {}
+
+    def count(module, name):
+        real = getattr(module, name)
+        calls[name] = 0
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for name in TRACED_AGENT_KERNELS:
+        count(agent_ops, name)
+    count(world_module, "p_create_histogram")
+    cfg = WorldConfig(lattice_side=8, iterations=30, mode=MODE_SHARED_P, sr_enabled=True,
+                      fitness_regime=REGIME_TEMPLATE, chaining_enabled=True)
+    run_world(cfg, 0)
+    assert all(calls.values()), calls
+    assert calls["update_p_create"] == calls["p_create_histogram"] == cfg.iterations
 
 
 def test_chaining_runs_are_never_cut_short():

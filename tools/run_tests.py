@@ -229,7 +229,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     sys.modules["pytest"] = pytest_stub()
-    sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
+    # pytest puts tests/ on the path too, so test modules can import the
+    # helper modules beside them.
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT), str(ROOT / "tests")]
     files = [Path(f).resolve() for f in args.files] or sorted((ROOT / "tests").glob("test_*.py"))
     counts = {"PASS": 0, "FAIL": 0, "SKIP": 0}
     scratch = Path(tempfile.mkdtemp(prefix="culturesim-tests-"))
