@@ -7,7 +7,7 @@ objects can be shared freely between agents, processes, and caches.
 from __future__ import annotations
 
 from enum import IntEnum
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 SubAction = Tuple[int, int, int, int, int, int]
 ActionChain = Tuple[SubAction, ...]
@@ -36,7 +36,7 @@ class ActionFormatError(ValueError):
     """Raised when a compact trit string cannot be parsed."""
 
 
-def _tokenize(text: str, allow_wildcard: bool) -> list:
+def _tokenize(text: str) -> list:
     tokens = []
     i = 0
     while i < len(text):
@@ -54,7 +54,7 @@ def _tokenize(text: str, allow_wildcard: bool) -> list:
         elif ch == "1":
             tokens.append(1)
             i += 1
-        elif ch == "*" and allow_wildcard:
+        elif ch == "*":
             tokens.append(None)
             i += 1
         else:
@@ -64,52 +64,9 @@ def _tokenize(text: str, allow_wildcard: bool) -> list:
     return tokens
 
 
-def parse_subaction(text: str) -> SubAction:
-    """Parse a compact trit string like ``01-110-1`` into a SubAction.
-
-    Components appear in canonical body-part order; ``-1`` is a
-    two-character token.
-    """
-    tokens = _tokenize(text, allow_wildcard=False)
-    if len(tokens) != NUM_PARTS:
-        raise ActionFormatError(
-            f"expected {NUM_PARTS} components, got {len(tokens)} in {text!r}"
-        )
-    return tuple(tokens)
-
-
-def format_subaction(sub: SubAction) -> str:
-    return "".join(str(v) for v in sub)
-
-
-def make_subaction(values: Sequence[int]) -> SubAction:
-    values = tuple(values)
-    if len(values) != NUM_PARTS:
-        raise ValueError(f"sub-action needs {NUM_PARTS} components, got {len(values)}")
-    for i, v in enumerate(values):
-        if v not in POSITIONS:
-            raise ValueError(f"component {i} is {v!r}; must be one of {POSITIONS}")
-    return values
-
-
-def make_chain(steps: Sequence[SubAction]) -> ActionChain:
-    """Validate and build an action chain.
-
-    Consecutive steps must differ in at least one component (the novelty
-    rule); a chain is never empty.
-    """
-    steps = tuple(steps)
-    if not steps:
-        raise ValueError("action chain must contain at least one sub-action")
-    for k in range(1, len(steps)):
-        if steps[k] == steps[k - 1]:
-            raise ValueError(f"steps {k - 1} and {k} are identical (novelty rule)")
-    return steps
-
-
 def parse_template(text: str) -> Template:
     """Parse a compact template string like ``01-1***`` (``*`` = unspecified)."""
-    tokens = _tokenize(text, allow_wildcard=True)
+    tokens = _tokenize(text)
     if len(tokens) != NUM_PARTS:
         raise ActionFormatError(
             f"expected {NUM_PARTS} components, got {len(tokens)} in {text!r}"
@@ -118,10 +75,6 @@ def parse_template(text: str) -> Template:
     if all(v is None for v in template):
         raise ActionFormatError(f"template {text!r} specifies no components")
     return template
-
-
-def format_template(t: Template) -> str:
-    return "".join("*" if v is None else str(v) for v in t)
 
 
 def all_subactions():

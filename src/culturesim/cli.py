@@ -7,6 +7,7 @@ import argparse
 import csv
 import sys
 from concurrent.futures import BrokenExecutor
+from dataclasses import replace
 from typing import List, Optional
 
 from .actions import ActionFormatError
@@ -19,7 +20,6 @@ from .experiments import (
     fmt,
     load_config,
     preset_spec,
-    run_spec,
 )
 from .fitness import ACCEPTABLE_SUBACTIONS, TemplateSet
 from .world import ConfigError
@@ -34,21 +34,14 @@ def _read_series(path: str) -> List[float]:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    spec = load_config(args.config)
-    if args.out is not None:
-        from dataclasses import replace
-
-        spec = replace(spec, output_dir=args.out)
-    written = run_spec(spec)
-    for path in written:
-        print(path)
-    return 0
-
-
-def cmd_preset(preset: str, args: argparse.Namespace) -> int:
-    spec = preset_spec(preset, runs=args.runs, seed=args.seed, out=args.out)
-    written = execute(spec)
-    for path in written:
+    """``run CONFIG`` and the preset commands: decide the spec, then run it."""
+    if args.command == "run":
+        spec = load_config(args.config)
+        if args.out is not None:
+            spec = replace(spec, output_dir=args.out)
+    else:
+        spec = preset_spec(args.preset, runs=args.runs, seed=args.seed, out=args.out)
+    for path in execute(spec):
         print(path)
     return 0
 
@@ -125,10 +118,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "run":
+        if args.command in ("run", "exp1", "exp2", "exp3"):
             return cmd_run(args)
-        if args.command in ("exp1", "exp2", "exp3"):
-            return cmd_preset(args.preset, args)
         if args.command == "analyze":
             return cmd_analyze(args)
         if args.command == "validate-templates":

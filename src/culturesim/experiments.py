@@ -60,6 +60,13 @@ class ExperimentSpec:
         check_field_types(self)
         if self.preset not in PRESETS:
             raise ConfigError(f"preset must be one of {PRESETS}, got {self.preset!r}")
+        for key, value in PRESET_WORLD.get(self.preset, {}).items():
+            given = getattr(self.world, key)
+            if given != value:
+                raise ConfigError(
+                    f"preset {self.preset} runs with {key}={value!r}, "
+                    f"but the config gives {given!r}"
+                )
         if self.runs_per_cell < 1:
             raise ConfigError(
                 f"runs_per_cell must be >= 1, got {self.runs_per_cell}"
@@ -128,9 +135,16 @@ def load_config(path: str) -> ExperimentSpec:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}")
+    return _decide(raw)
+
+
+def _decide(raw: dict) -> ExperimentSpec:
+    """The validated spec a config dict names.  The preset decides on the
+    keys the dict gives, not on the values they leave at their defaults:
+    it fills each world setting it requires that the dict leaves out, and
+    an exp1 tau the dict leaves out becomes the desk threshold."""
     if not isinstance(raw, dict):
         raise ConfigError(f"config root must be a JSON object, got {type(raw).__name__}")
-
     world_raw = raw.pop("world", {})
     if not isinstance(world_raw, dict):
         raise ConfigError("'world' must be a JSON object of world settings")
@@ -151,16 +165,6 @@ def load_config(path: str) -> ExperimentSpec:
         raise ConfigError(f"bad config value: {exc}")
     check_field_types(spec)
     check_field_types(world)
-    # The preset decides on the keys the file gives, not on the values
-    # they leave at their defaults: a key the preset would force to
-    # another value is an error, and an explicit exp1 tau is kept.
-    forced = PRESET_WORLD.get(spec.preset, {})
-    for key, value in forced.items():
-        if key in world_raw and world_raw[key] != value:
-            raise ConfigError(
-                f"preset {spec.preset} runs with {key}={value!r}, "
-                f"but the config gives {world_raw[key]!r}"
-            )
     # A paired preset runs one cell with SR off and on, so a grid or an
     # sr_enabled in its config would be echoed but never read.
     if spec.preset in (PRESET_EXP2, PRESET_EXP3):
@@ -170,19 +174,18 @@ def load_config(path: str) -> ExperimentSpec:
                     f"preset {spec.preset} runs one cell with SR off and on; "
                     f"it does not read {key}"
                 )
-    world = replace(world, **forced)
+    # A setting the dict gives that the preset forces to another value is
+    # left for validate to reject.
+    filled = {k: v for k, v in PRESET_WORLD.get(spec.preset, {}).items()
+              if k not in world_raw}
     if spec.preset == PRESET_EXP1 and "tau" not in world_raw:
-        world = replace(world, tau=DESK_TAU)
-    return replace(spec, world=world).validate()
+        filled["tau"] = DESK_TAU
+    return replace(spec, world=replace(world, **filled)).validate()
 
 
 def apply_preset(spec: ExperimentSpec) -> ExperimentSpec:
-    """Force the world settings each preset's design requires.  An exp1
-    tau left at the WorldConfig default becomes the desk threshold."""
-    w = replace(spec.world, **PRESET_WORLD.get(spec.preset, {}))
-    if spec.preset == PRESET_EXP1 and w.tau == WorldConfig.tau:
-        w = replace(w, tau=DESK_TAU)
-    return replace(spec, world=w)
+    """Force the world settings each preset's design requires."""
+    return replace(spec, world=replace(spec.world, **PRESET_WORLD.get(spec.preset, {})))
 
 
 def worker_count() -> int:
@@ -357,14 +360,9 @@ def execute_paired_sr(spec: ExperimentSpec, workers: Optional[int] = None) -> Li
 
 
 def execute(spec: ExperimentSpec, workers: Optional[int] = None) -> List[Path]:
-    """Apply the preset's settings to ``spec`` (``apply_preset``) and run it."""
-    return run_spec(apply_preset(spec), workers)
-
-
-def run_spec(spec: ExperimentSpec, workers: Optional[int] = None) -> List[Path]:
-    """Run ``spec`` as it stands.  ``load_config`` returns specs whose
-    preset settings are decided already; ``apply_preset`` would turn an
-    explicit exp1 tau of 9.0 into the desk threshold."""
+    """Run ``spec`` as it stands.  ``load_config`` and ``preset_spec``
+    decide a preset's settings; ``validate`` rejects a world that breaks
+    them."""
     spec = spec.validate()
     if spec.preset == PRESET_EXP1:
         return execute_exp1(spec, workers)
@@ -379,12 +377,11 @@ def run_spec(spec: ExperimentSpec, workers: Optional[int] = None) -> List[Path]:
 def preset_spec(preset: str, runs: Optional[int] = None, seed: Optional[int] = None,
                 out: Optional[str] = None) -> ExperimentSpec:
     """Desk-scale spec for a named preset with optional overrides."""
-    world = WorldConfig(mode=MODE_SHARED_P) if preset in (PRESET_EXP2, PRESET_EXP3) else WorldConfig()
-    spec = ExperimentSpec(preset=preset, world=world)
+    raw = {"preset": preset}
     if runs is not None:
-        spec = replace(spec, runs_per_cell=runs)
-    if seed is not None:
-        spec = replace(spec, world=replace(spec.world, base_seed=seed))
+        raw["runs_per_cell"] = runs
     if out is not None:
-        spec = replace(spec, output_dir=out)
-    return apply_preset(spec).validate()
+        raw["output_dir"] = out
+    if seed is not None:
+        raw["world"] = {"base_seed": seed}
+    return _decide(raw)

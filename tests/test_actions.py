@@ -1,4 +1,4 @@
-"""Parsing, formatting, and validation of sub-actions, chains, and templates."""
+"""Parsing of templates, and the sub-action vocabulary."""
 
 import pytest
 
@@ -6,11 +6,6 @@ from culturesim.actions import (
     ActionFormatError,
     NEUTRAL,
     all_subactions,
-    format_subaction,
-    format_template,
-    make_chain,
-    make_subaction,
-    parse_subaction,
     parse_template,
 )
 
@@ -19,51 +14,30 @@ def test_parse_format_round_trip_all_729():
     subs = list(all_subactions())
     assert len(subs) == 729
     for sub in subs:
-        assert parse_subaction(format_subaction(sub)) == sub
+        assert parse_template("".join(str(v) for v in sub)) == sub
 
 
 def test_parse_example_with_negative_tokens():
-    assert parse_subaction("01-110-1") == (0, 1, -1, 1, 0, -1)
+    assert parse_template("01-110-1") == (0, 1, -1, 1, 0, -1)
 
 
 def test_parse_rejects_wrong_length():
     with pytest.raises(ActionFormatError):
-        parse_subaction("01-11")
+        parse_template("01-11")
     with pytest.raises(ActionFormatError):
-        parse_subaction("0101010")
+        parse_template("0101010")
 
 
 def test_parse_rejects_bad_characters():
     with pytest.raises(ActionFormatError):
-        parse_subaction("01-1x0")
+        parse_template("01-1x0")
     with pytest.raises(ActionFormatError):
-        parse_subaction("01*100")  # wildcards only valid in templates
-    with pytest.raises(ActionFormatError):
-        parse_subaction("01-10-")  # dangling minus
-
-
-def test_make_subaction_validates_positions():
-    assert make_subaction([0, 1, -1, 1, -1, 1]) == (0, 1, -1, 1, -1, 1)
-    with pytest.raises(ValueError):
-        make_subaction([0, 2, 0, 0, 0, 0])
-    with pytest.raises(ValueError):
-        make_subaction([0, 0, 0, 0, 0])
-
-
-def test_make_chain_enforces_consecutive_novelty():
-    a = (0, 1, -1, 1, -1, 1)
-    b = (0, 1, -1, 1, -1, -1)
-    assert make_chain([a, b, a]) == (a, b, a)
-    with pytest.raises(ValueError):
-        make_chain([a, a])
-    with pytest.raises(ValueError):
-        make_chain([])
+        parse_template("01-10-")  # dangling minus
 
 
 def test_parse_template_wildcards_and_round_trip():
     t = parse_template("01-1***")
     assert t == (0, 1, -1, None, None, None)
-    assert format_template(t) == "01-1***"
     assert parse_template("0*****") == (0, None, None, None, None, None)
 
 
@@ -79,4 +53,3 @@ def test_parse_template_rejects_wrong_length():
 
 def test_neutral_constant():
     assert NEUTRAL == (0,) * 6
-    assert format_subaction(NEUTRAL) == "000000"

@@ -5,7 +5,7 @@ from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-from culturesim import experiments
+from culturesim import cli, experiments
 from culturesim import world as world_mod
 from culturesim.cli import main
 from importlib import resources
@@ -289,3 +289,21 @@ def test_run_command_keeps_an_explicit_exp1_tau(tmp_path, capsys, monkeypatch, w
     assert taus == [tau]
     echoed = json.loads((tmp_path / "out" / "config.json").read_text())
     assert echoed["world"]["tau"] == tau
+
+
+def test_run_command_rejects_a_spec_whose_world_breaks_its_preset(tmp_path, capsys, monkeypatch):
+    # A spec built by hand, not decided by load_config: it is run as it
+    # stands, so its missing chaining is an error, not a silent override.
+    worlds = []
+    monkeypatch.setattr(world_mod.World, "__init__", lambda self, *a: worlds.append(a))
+    spec = experiments.ExperimentSpec(
+        preset="exp3_chaining", world=world_mod.WorldConfig(mode="shared_p"),
+        runs_per_cell=1, output_dir=str(tmp_path / "out"))
+    monkeypatch.setattr(cli, "load_config", lambda path: spec)
+    assert main(["run", str(tmp_path / "cfg.json")]) == 1
+    assert capsys.readouterr().err == (
+        "error: preset exp3_chaining runs with chaining_enabled=True, "
+        "but the config gives False\n"
+    )
+    assert worlds == []
+    assert not (tmp_path / "out").exists()

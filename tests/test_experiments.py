@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from culturesim import experiments
+from culturesim import world as world_module
 from culturesim.experiments import (
     DESK_TAU,
     ExperimentSpec,
@@ -78,8 +79,6 @@ def test_presets_force_their_regimes():
     exp3 = apply_preset(ExperimentSpec(preset=PRESET_EXP3, world=WorldConfig(mode="shared_p")))
     assert exp3.world.fitness_regime == "template"
     assert exp3.world.chaining_enabled
-    exp1 = apply_preset(ExperimentSpec(preset=PRESET_EXP1))
-    assert exp1.world.tau == DESK_TAU
 
 
 def test_float_formatting_is_17_significant_digits():
@@ -167,10 +166,55 @@ def test_outputs_identical_across_worker_counts(tmp_path):
 
 
 def test_preset_spec_overrides():
-    spec = preset_spec(PRESET_EXP2, runs=7, seed=42, out="somewhere")
-    assert spec.runs_per_cell == 7
-    assert spec.world.base_seed == 42
-    assert spec.output_dir == "somewhere"
+    # preset -> (mode, fitness_regime, chaining_enabled, tau)
+    decided = {
+        PRESET_EXP1: ("fixed_roles", "single_step", False, DESK_TAU),
+        PRESET_EXP2: ("shared_p", "single_step", False, WorldConfig.tau),
+        PRESET_EXP3: ("shared_p", "template", True, WorldConfig.tau),
+    }
+    for preset, (mode, regime, chaining, tau) in decided.items():
+        spec = preset_spec(preset, runs=7, seed=42, out="somewhere")
+        assert spec.runs_per_cell == 7
+        assert spec.world.base_seed == 42
+        assert spec.output_dir == "somewhere"
+        w = spec.world
+        assert (w.mode, w.fitness_regime, w.chaining_enabled, w.tau) == (
+            mode, regime, chaining, tau), preset
+
+
+def test_execute_keeps_an_explicit_exp1_tau(tmp_path, monkeypatch):
+    # 9.0 is also the WorldConfig default; the config gives it, so it is
+    # the threshold, not the desk 35.1.
+    taus = []
+    real = experiments.time_to_threshold
+
+    def spy(series, t):
+        taus.append(t)
+        return real(series, t)
+
+    monkeypatch.setattr(experiments, "time_to_threshold", spy)
+    path = write_config(tmp_path, {
+        "preset": PRESET_EXP1, "runs_per_cell": 1, "grid_c": [1.0], "grid_p": [1.0],
+        "output_dir": str(tmp_path / "out"),
+        "world": {"tau": 9.0, "lattice_side": 4, "iterations": 3},
+    })
+    execute(load_config(path), workers=1)
+    assert taus == [9.0]
+    echoed = json.loads((tmp_path / "out" / "config.json").read_text())
+    assert echoed["world"]["tau"] == 9.0
+
+
+def test_execute_rejects_a_world_that_breaks_its_preset(tmp_path, monkeypatch):
+    worlds = []
+    monkeypatch.setattr(world_module.World, "__init__", lambda self, *a: worlds.append(a))
+    spec = ExperimentSpec(preset=PRESET_EXP3, world=WorldConfig(mode="shared_p"),
+                          runs_per_cell=1, output_dir=str(tmp_path / "out"))
+    with pytest.raises(ConfigError, match=(
+            "^preset exp3_chaining runs with chaining_enabled=True, "
+            "but the config gives False$")):
+        execute(spec, workers=1)
+    assert worlds == []
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(

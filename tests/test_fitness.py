@@ -6,7 +6,7 @@ definitions, independent of the shapes used in culturesim.fitness.
 
 import pytest
 
-from culturesim.actions import all_subactions, parse_subaction, parse_template
+from culturesim.actions import all_subactions, parse_template
 from culturesim.fitness import (
     ACCEPTABLE_SUBACTIONS,
     ScoreTable,
@@ -147,7 +147,7 @@ def test_template_set_file_errors(tmp_path):
 
 def test_subaction_fitness_is_read_from_the_score_table():
     ts = TemplateSet.default()
-    sub = parse_subaction("01-11-11")
+    sub = (0, 1, -1, 1, -1, 1)
     assert ts.fitness_subaction(sub) == ts.scores[sub]
     assert ts.fitness_subaction(sub) == reference_template_fitness(sub, ts.templates)
 
@@ -161,7 +161,7 @@ def test_score_table_scores_each_subaction_once_on_first_lookup():
 
     table = ScoreTable(score)
     assert len(table) == 0
-    a, b = parse_subaction("011111"), parse_subaction("000000")
+    a, b = (0, 1, 1, 1, 1, 1), (0, 0, 0, 0, 0, 0)
     assert table[a] == 39 and table[a] == 39 and table[b] == 0
     assert scored == [a, b]
     assert dict(table) == {a: 39, b: 0}

@@ -9,9 +9,10 @@ from importlib import resources
 import pytest
 
 from culturesim import agent as agent_ops
-from culturesim import fitness
+from culturesim import experiments, fitness
 from culturesim import world as world_module
 from culturesim.fitness import TemplateSet
+from culturesim.network import AutoAssociator
 from culturesim.analysis import p_create_histogram
 from culturesim.world import (
     ConfigError,
@@ -363,6 +364,26 @@ def test_a_step_calls_every_traced_kernel_through_its_module(monkeypatch):
     run_world(cfg, 0)
     assert all(calls.values()), calls
     assert calls["update_p_create"] == calls["p_create_histogram"] == cfg.iterations
+
+
+# The other package names the benchmark (perfbench/) imports, wraps or
+# calls.  The tier-1 tests do not run the benchmark's own tests, so a
+# deletion of one of these would otherwise break only the benchmark.
+BENCHMARK_NAMES = (
+    (experiments, ("apply_preset", "preset_spec", "execute", "run_jobs", "run_world",
+                   "atomic_write", "average_series", "summarize_cell")),
+    (world_module, ("derive_seed", "p_create_histogram")),
+    (fitness, ("max_fitness_single",)),
+    (AutoAssociator, ("train", "invention_bias")),
+)
+
+
+def test_every_name_the_benchmark_reads_exists():
+    missing = [f"{owner.__name__}.{name}" for owner, names in BENCHMARK_NAMES
+               for name in names if not callable(getattr(owner, name, None))]
+    if not callable(getattr(World(small(), 0), "evaluate", None)):
+        missing.append("World.evaluate")
+    assert missing == []
 
 
 def test_chaining_runs_are_never_cut_short():
