@@ -6,7 +6,6 @@ objects can be shared freely between agents, processes, and caches.
 
 from __future__ import annotations
 
-from enum import IntEnum
 from typing import Optional, Tuple
 
 SubAction = Tuple[int, int, int, int, int, int]
@@ -15,17 +14,8 @@ ActionChain = Tuple[SubAction, ...]
 Template = Tuple[Optional[int], ...]
 
 
-class BodyPart(IntEnum):
-    """The six body parts, in the canonical order used everywhere."""
-
-    HEAD = 0
-    LEFT_ARM = 1
-    RIGHT_ARM = 2
-    LEFT_LEG = 3
-    RIGHT_LEG = 4
-    HIPS = 5
-
-
+# The six body parts, in the canonical order used everywhere: head, left
+# arm, right arm, left leg, right leg, hips.
 NUM_PARTS = 6
 POSITIONS = (-1, 0, 1)
 

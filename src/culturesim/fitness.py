@@ -26,7 +26,6 @@ from typing import Callable, Dict, FrozenSet, Iterable, Optional
 from .actions import (
     ActionChain,
     ActionFormatError,
-    BodyPart,
     SubAction,
     Template,
     all_subactions,
@@ -41,11 +40,8 @@ ACCEPTABLE_SUBACTIONS: FrozenSet[SubAction] = frozenset((
     (0, -1, 1, -1, 1, -1),
 ))
 
-_HD = BodyPart.HEAD.value
-_LA = BodyPart.LEFT_ARM.value
-_RA = BodyPart.RIGHT_ARM.value
-_LL = BodyPart.LEFT_LEG.value
-_RL = BodyPart.RIGHT_LEG.value
+# Indices of the parts single-step fitness reads (see ``actions``).
+_HD, _LA, _RA, _LL, _RL = 0, 1, 2, 3, 4
 
 
 def fitness_single(sub: SubAction) -> int:

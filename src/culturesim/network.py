@@ -10,35 +10,19 @@ of action the agent has been learning, so ``_bias_of`` computes just
 those two.
 
 The matrices are tiny, so the arithmetic is written out in plain Python;
-at 6x6 this is several times faster than vectorized array calls, and the
-training loop sits on the simulation's hot path.
+at 6x6 this is several times faster than vectorized array calls.  Net
+inputs are summed left to right over the rows in index order, never with
+built-in ``sum``: from Python 3.12 it sums floats with compensation,
+which rounds differently.
 
-``train`` unrolls the six outputs into locals and adds or subtracts a
-weight for a +1 or -1 input instead of multiplying by it.  Every float it
-produces is bit-identical to what ``_forward`` and a per-element
-``w += x * delta`` update produce, for three reasons:
-
-* multiplying by +/-1 is exact, and ``a + (-b) == a - b`` in IEEE 754;
-* each output's net input is summed left to right over the rows in index
-  order, the same order as ``_forward``;
-* the sigmoid and ``LEARNING_RATE * err * o * (1.0 - o)`` keep their
-  operand order.
-
-Built-in ``sum`` is avoided on purpose: from Python 3.12 it sums floats
-with compensation, which rounds differently.  ``_forward`` and ``recall``
-keep the plain per-element form as the reference model.
-
-When ``train`` converges, the decoded output is the trained pattern
-itself, so it is taken from ``sub`` instead of decoding six outputs.
 Convergence means every ``|t - o| < CONVERGENCE_TOL = 0.05`` with a
 target ``t`` of 0.1, 0.5 or 0.9, which puts ``o`` in (0.05, 0.15),
 (0.45, 0.55) or (0.85, 0.95).  Against the DECODE_LOW = 0.33 and
 DECODE_HIGH = 0.67 thresholds these intervals decode to -1, 0 and +1
-with a margin of at least 0.12, far above any rounding error, so the
-decoded trit always equals the input trit.  A run that exhausts
-MAX_EPOCHS decodes its six outputs instead; it too can decode to its
-input, and within a fresh network's first DECODE_SAFE_CALLS calls it
-always does, as shown next.
+with a margin of at least 0.12, far above any rounding error, so a
+converged call always decodes to its input.  A call that exhausts
+MAX_EPOCHS can decode to its input too, and within a fresh network's
+first DECODE_SAFE_CALLS calls it always does, as shown next.
 
 Training can fail to converge: ``tests/test_network.py`` holds ten calls
 on a fresh network whose tenth exhausts the epoch budget.  But the
@@ -152,14 +136,8 @@ class AutoAssociator:
     )
 
     def __init__(self, rng: random.Random, trend_learning: bool = True):
-        # ``lo + span * r()`` is what ``rng.uniform(lo, hi)`` computes
-        # (``a + (b - a) * random()``), with the same draws in the same order.
-        r = rng.random
-        lo = -INIT_WEIGHT_SCALE
-        span = INIT_WEIGHT_SCALE - lo
         self.weights: List[List[float]] = [
-            [lo + span * r(), lo + span * r(), lo + span * r(),
-             lo + span * r(), lo + span * r(), lo + span * r()]
+            [rng.uniform(-INIT_WEIGHT_SCALE, INIT_WEIGHT_SCALE) for _ in range(NUM_PARTS)]
             for _ in range(NUM_PARTS)
         ]
         self.trend_learning = trend_learning
@@ -187,83 +165,28 @@ class AutoAssociator:
         reported, not fatal: the agent's explicit action stays the ground
         truth and the network only biases invention.  Afterwards
         ``decoded`` is the decoded output of the last forward pass, which
-        ran on the final weights, and on convergence it is ``sub`` itself.
-
-        The six outputs are unrolled into locals (see the module docstring
-        for why every value is bit-identical to ``_forward``'s).  Neutral
-        inputs add nothing to a net input and receive no update, so only
-        the active rows are visited, in index order.
+        ran on the final weights.  Neutral inputs receive no update.
         """
-        t0, t1, t2, t3, t4, t5 = [TARGET_ACTIVATION[v] for v in sub]
-        weights = self.weights
-        rows = [(sub[i] > 0, weights[i]) for i in range(NUM_PARTS) if sub[i]]
-        tol = CONVERGENCE_TOL
+        targets = [TARGET_ACTIVATION[v] for v in sub]
+        active = [i for i in range(NUM_PARTS) if sub[i]]
+        w = self.weights
         converged = False
         # MAX_EPOCHS updates, each after a forward pass, plus one final
         # forward pass to judge the last update.
         for epoch in range(MAX_EPOCHS + 1):
-            n0 = n1 = n2 = n3 = n4 = n5 = THETA
-            for up, w in rows:
-                if up:
-                    n0 += w[0]
-                    n1 += w[1]
-                    n2 += w[2]
-                    n3 += w[3]
-                    n4 += w[4]
-                    n5 += w[5]
-                else:
-                    n0 -= w[0]
-                    n1 -= w[1]
-                    n2 -= w[2]
-                    n3 -= w[3]
-                    n4 -= w[4]
-                    n5 -= w[5]
-            o0 = 1.0 / (1.0 + math.exp(-BETA * n0))
-            o1 = 1.0 / (1.0 + math.exp(-BETA * n1))
-            o2 = 1.0 / (1.0 + math.exp(-BETA * n2))
-            o3 = 1.0 / (1.0 + math.exp(-BETA * n3))
-            o4 = 1.0 / (1.0 + math.exp(-BETA * n4))
-            o5 = 1.0 / (1.0 + math.exp(-BETA * n5))
-            e0 = t0 - o0
-            e1 = t1 - o1
-            e2 = t2 - o2
-            e3 = t3 - o3
-            e4 = t4 - o4
-            e5 = t5 - o5
-            if (-tol < e0 < tol and -tol < e1 < tol and -tol < e2 < tol
-                    and -tol < e3 < tol and -tol < e4 < tol and -tol < e5 < tol):
+            out = self._forward(sub)
+            if all(abs(t - o) < CONVERGENCE_TOL for t, o in zip(targets, out)):
                 converged = True
                 break
             if epoch == MAX_EPOCHS:
                 break
-            d0 = LEARNING_RATE * e0 * o0 * (1.0 - o0)
-            d1 = LEARNING_RATE * e1 * o1 * (1.0 - o1)
-            d2 = LEARNING_RATE * e2 * o2 * (1.0 - o2)
-            d3 = LEARNING_RATE * e3 * o3 * (1.0 - o3)
-            d4 = LEARNING_RATE * e4 * o4 * (1.0 - o4)
-            d5 = LEARNING_RATE * e5 * o5 * (1.0 - o5)
-            for up, w in rows:
-                if up:
-                    w[0] += d0
-                    w[1] += d1
-                    w[2] += d2
-                    w[3] += d3
-                    w[4] += d4
-                    w[5] += d5
-                else:
-                    w[0] -= d0
-                    w[1] -= d1
-                    w[2] -= d2
-                    w[3] -= d3
-                    w[4] -= d4
-                    w[5] -= d5
+            deltas = [LEARNING_RATE * (t - o) * o * (1.0 - o) for t, o in zip(targets, out)]
+            for i in active:
+                for j in range(NUM_PARTS):
+                    w[i][j] += sub[i] * deltas[j]
         self.converged = converged
-        if converged:
-            decoded = tuple(sub)  # exact: see the module docstring
-        else:
-            decoded = tuple(decode_activation(o) for o in (o0, o1, o2, o3, o4, o5))
-        self.decoded = decoded
-        self._bias = _bias_of(decoded)
+        self.decoded = tuple(decode_activation(o) for o in out)
+        self._bias = _bias_of(self.decoded)
         return converged
 
     def recall(self, sub: SubAction) -> SubAction:

@@ -282,7 +282,7 @@ def test_criterion_6_sweep_valley():
 
 @pytest.mark.skipif(
     not os.environ.get("CULTURESIM_STRETCH"),
-    reason="full-resolution sweep (hours); set CULTURESIM_STRETCH=1 to run",
+    reason="full-resolution sweep (about 5.5 min on two cores); set CULTURESIM_STRETCH=1 to run",
 )
 def test_criterion_6_stretch_full_resolution_optima():
     grid = tuple(round(0.05 * k, 2) for k in range(1, 21))

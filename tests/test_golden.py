@@ -19,7 +19,7 @@ from culturesim.experiments import (
     execute,
     preset_spec,
 )
-from culturesim.world import MODE_SHARED_P
+from culturesim.world import MODE_SHARED_P, REGIME_TEMPLATE
 
 # name -> (preset, runs per cell, (grid_c, grid_p) or None, world settings,
 # {csv: sha256})
@@ -50,6 +50,13 @@ GOLDEN = {
     "custom-sr-10x10": (PRESET_CUSTOM, 5, None, dict(
         lattice_side=10, iterations=60, mode=MODE_SHARED_P, sr_enabled=True), {
         "series.csv": "b07f6dd42eeeb02f48183584996a60f02901fce3cd10326da165c82921b7dfdf",
+    }),
+    # Past DECODE_SAFE_CALLS iterations each agent trains an AutoAssociator,
+    # so this is the entry that pins the network inside a simulation.
+    "custom-chain-sr-300": (PRESET_CUSTOM, 2, None, dict(
+        lattice_side=8, iterations=300, mode=MODE_SHARED_P, sr_enabled=True,
+        fitness_regime=REGIME_TEMPLATE, chaining_enabled=True), {
+        "series.csv": "f758c54d0c68b0ee7e3f725c576f85fe9b12b0598d21193ddadc6567c7fa4941",
     }),
 }
 
