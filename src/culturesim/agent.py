@@ -23,8 +23,8 @@ class Agent:
     p_create: float
     chain: ActionChain
     fitness: float
-    net: Union[AutoAssociator, LastPattern]
-    rng: random.Random
+    net: Union[AutoAssociator, LastPattern, None]  # None: a replayed creator
+    rng: Optional[random.Random]
 
 
 def draw_position(

@@ -116,7 +116,6 @@ class CellSummary:
     c: float
     p: float
     runs: int
-    mean_ttt: float
     mean_ttt_log10: float
     censored_count: int
     mean_piv: float
@@ -131,8 +130,8 @@ def summarize_cell(
 ) -> CellSummary:
     """Average per-run metrics for one (C, p) grid cell.
 
-    Censored TTT values are excluded from log-scale averaging but included
-    (at the sentinel horizon+1) in the raw mean used for ranking.
+    Censored TTT values (the sentinel horizon+1) are excluded from the
+    log-scale mean and counted instead.
     """
     uncensored = [t for t in ttts if not is_censored(t, horizon)]
     censored = len(ttts) - len(uncensored)
@@ -145,7 +144,6 @@ def summarize_cell(
         c=c,
         p=p,
         runs=len(ttts),
-        mean_ttt=sum(ttts) / len(ttts),
         mean_ttt_log10=mean_log,
         censored_count=censored,
         mean_piv=sum_floats(pivs) / len(pivs),

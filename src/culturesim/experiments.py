@@ -31,6 +31,8 @@ from .world import (
     REGIME_TEMPLATE,
     WorldConfig,
     check_field_types,
+    creator_log_scope,
+    replay_key,
     run_world,
 )
 
@@ -201,31 +203,65 @@ def worker_count() -> int:
     return os.cpu_count() or 1
 
 
-def _job(args: Tuple[WorldConfig, int]) -> RunSeries:
-    cfg, run_index = args
-    return run_world(cfg, run_index)
+def _job(bundle: Sequence[Tuple[WorldConfig, int]]) -> List[RunSeries]:
+    """Run a bundle's jobs in order, sharing one creator log among them."""
+    with creator_log_scope():
+        return [run_world(cfg, run_index) for cfg, run_index in bundle]
+
+
+def _bundles(jobs: Sequence[Tuple[WorldConfig, int]]) -> List[List[int]]:
+    """The job indices of each bundle, in the order of each bundle's first
+    job.  Jobs with one ``replay_key`` form one bundle, ordered by
+    descending creator fraction, so a (1, 1) corner logs every creator
+    before the other runs replay them; every other job is a bundle alone."""
+    bundles: List[List[int]] = []
+    by_key: Dict[tuple, List[int]] = {}
+    for i, (cfg, run_index) in enumerate(jobs):
+        key = replay_key(cfg, run_index) if isinstance(cfg, WorldConfig) else None
+        if key is None:
+            bundles.append([i])
+        elif key in by_key:
+            by_key[key].append(i)
+        else:
+            by_key[key] = [i]
+            bundles.append(by_key[key])
+    for bundle in by_key.values():
+        bundle.sort(key=lambda i: jobs[i][0].creator_fraction, reverse=True)
+    return bundles
 
 
 def run_jobs(jobs: Sequence[Tuple[WorldConfig, int]], workers: Optional[int] = None) -> List[RunSeries]:
-    """Execute runs in job order.  A run is a pure function of its job, so
-    a failed job is not retried: the first error propagates, and the jobs
-    not yet started are cancelled.  A worker that dies fails the sweep
-    with ``BrokenProcessPool`` instead of hanging it."""
+    """Execute runs and return their series in job order.  A run is a pure
+    function of its job, so a failed job is not retried: the first error
+    propagates, and the bundles not yet started are cancelled.  A worker
+    that dies fails the sweep with ``BrokenProcessPool`` instead of
+    hanging it.
+
+    Each bundle (see ``_bundles``) runs as one task on one worker, so the
+    p = 1 runs of one run index compute each creator once."""
     if workers is None:
         workers = worker_count()
-    if workers <= 1 or len(jobs) <= 1:
-        return [_job(job) for job in jobs]
-    # Imported here: the module imports ``logging``, which the serial path
-    # and ``import culturesim`` never need.
-    from concurrent.futures import ProcessPoolExecutor
+    bundles = _bundles(jobs)
+    tasks = [[jobs[i] for i in bundle] for bundle in bundles]
+    if workers <= 1 or len(tasks) <= 1:
+        outputs = [_job(task) for task in tasks]
+    else:
+        # Imported here: the module imports ``logging``, which the serial
+        # path and ``import culturesim`` never need.
+        from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(workers) as pool:
-        futures = [pool.submit(_job, job) for job in jobs]
-        try:
-            return [f.result() for f in futures]
-        except BaseException:
-            pool.shutdown(cancel_futures=True)
-            raise
+        with ProcessPoolExecutor(workers) as pool:
+            futures = [pool.submit(_job, task) for task in tasks]
+            try:
+                outputs = [f.result() for f in futures]
+            except BaseException:
+                pool.shutdown(cancel_futures=True)
+                raise
+    results: List[Optional[RunSeries]] = [None] * len(jobs)
+    for bundle, output in zip(bundles, outputs):
+        for i, series in zip(bundle, output):
+            results[i] = series
+    return results
 
 
 def fmt(x: float) -> str:
@@ -317,7 +353,11 @@ def execute_exp1(spec: ExperimentSpec, workers: Optional[int] = None) -> List[Pa
     # Invention, and the training after it, dominate a run, so a cell's
     # cost grows with C*p.  Dispatching the dearest cells first keeps every
     # worker busy to the end of the sweep.  The sort is stable, so ties
-    # keep grid order; no output depends on this order.
+    # keep grid order; no output depends on this order.  run_jobs runs the
+    # p = 1 column of each run index as one bundle, corner first, at the
+    # place of its first job: the corner computes every creator, and the
+    # other (C, 1) runs replay them, so they cost about as much as their
+    # imitators.
     order = sorted(cell_cfg, key=lambda cell: cell[0] * cell[1], reverse=True)
     if (1.0, 1.0) not in cell_cfg:
         # The paired PIV baseline is the (1, 1) corner, the dearest of all.

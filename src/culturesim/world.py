@@ -3,14 +3,15 @@ iteration, and deterministic per-agent RNG streams."""
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import json
 import math
 import random
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from . import agent as agent_ops
 from .actions import ActionChain, NEUTRAL, SubAction
@@ -161,6 +162,41 @@ def derive_seed(*parts) -> int:
     return derive_seeds(parts[:-1], parts[-1:])[0]
 
 
+def replay_key(cfg: WorldConfig, run_index: int) -> Optional[tuple]:
+    """The key of the runs that share their creators' adoptions, or None.
+
+    In fixed roles a creator of creativity 1 passes every create draw
+    (``random() < 1.0``), so it never imitates and never reads another
+    agent, and its seed is ``derive_seed(base_seed, run_index, id)`` in
+    every cell.  Its adoptions are therefore the same in every run of one
+    (cfg without C, run_index)."""
+    if cfg.mode == MODE_FIXED_ROLES and cfg.creator_creativity == 1.0:
+        return replace(cfg, creator_fraction=1.0), run_index
+    return None
+
+
+# The creator log of the bundle being run, or None outside one: replay
+# key -> {agent id: [iteration, chain, fitness, ...] of its adoptions}.
+# A scope rather than an argument, because ``World(cfg, run_index)`` and
+# ``run_world(cfg, run_index)`` keep the two-argument form that
+# perfbench/ wraps; creator_log_scope() restores it on exit.
+_creator_logs: Optional[Dict[tuple, Dict[int, list]]] = None
+
+
+@contextlib.contextmanager
+def creator_log_scope():
+    """Let the worlds built inside share their creators' adoptions: each
+    run that finishes logs the creators it computed, and a later world of
+    the same replay key replays them.  The log is dropped on exit, even if
+    a run raises."""
+    global _creator_logs
+    saved, _creator_logs = _creator_logs, {}
+    try:
+        yield
+    finally:
+        _creator_logs = saved
+
+
 @functools.lru_cache(maxsize=None)
 def neighbor_table(side: int) -> Tuple[Tuple[int, int, int, int], ...]:
     """Von Neumann neighborhoods with toroidal wraparound, row-major cells.
@@ -228,14 +264,34 @@ class World:
         net_class = (
             LastPattern if cfg.iterations <= DECODE_SAFE_CALLS else AutoAssociator
         )
+        # Inside a creator log scope, a creator the log holds is replayed:
+        # it gets no RNG and no network, and step() applies its logged
+        # adoptions.  Each creator this world computes is logged by run().
+        log = None
+        if _creator_logs is not None:
+            key = replay_key(cfg, run_index)
+            if key is not None:
+                log = _creator_logs.setdefault(key, {})
+        replayed = {i for i in log if p_create[i] == 1.0} if log else set()
+        self._log = log
+        self._record: Optional[Dict[int, list]] = None if log is None else {
+            i: [] for i in range(n) if p_create[i] == 1.0 and i not in replayed
+        }
+        self._log_chains: Dict[ActionChain, ActionChain] = {}
+
         trend_learning = cfg.trend_learning
         Random = random.Random
         self.agents: List[Agent] = []
         append = self.agents.append
-        for i, seed in enumerate(derive_seeds((cfg.base_seed, run_index), range(n))):
-            rng = Random(seed)
-            append(Agent(i, p_create[i], initial_chain, initial_fitness,
-                         net_class(rng, trend_learning), rng))
+        computed = [i for i in range(n) if i not in replayed]
+        seeds = iter(derive_seeds((cfg.base_seed, run_index), computed))
+        for i in range(n):
+            if i in replayed:
+                append(Agent(i, p_create[i], initial_chain, initial_fitness, None, None))
+            else:
+                rng = Random(next(seeds))
+                append(Agent(i, p_create[i], initial_chain, initial_fitness,
+                             net_class(rng, trend_learning), rng))
 
         # The (chain, fitness) pair of every agent at the end of the last
         # step, which imitation reads; see step().
@@ -243,14 +299,22 @@ class World:
             (initial_chain, initial_fitness)
         ] * n
         self.fitness_total = initial_fitness * n
-        # The agents that can still change their chain, and the chains of
-        # those that cannot; see step().  Under a template set whose best
-        # step is the neutral one, every agent starts absorbed.
+        # The computed and the replayed agents that can still change their
+        # chain, and the chains of those that cannot; see step().  Under a
+        # template set whose best step is the neutral one, every agent
+        # starts absorbed.
         top = self.absorbing_fitness
+        self.replay: Dict[int, List[Tuple[Agent, ActionChain, float]]] = {}
         if top is not None and initial_fitness >= top:
-            self.active, self.absorbed_chains = [], {initial_chain}
+            self.active, self.replayed, self.absorbed_chains = [], [], {initial_chain}
         else:
-            self.active, self.absorbed_chains = list(self.agents), set()
+            self.active = [a for a in self.agents if a.rng is not None]
+            self.replayed = [a for a in self.agents if a.rng is None]
+            self.absorbed_chains = set()
+            for a in self.replayed:
+                events = log[a.id]
+                for t, chain, fit in zip(events[::3], events[1::3], events[2::3]):
+                    self.replay.setdefault(t, []).append((a, chain, fit))
         self.series = RunSeries(
             mean_fitness=[],
             diversity=[],
@@ -269,6 +333,11 @@ class World:
         and adoption is strict.  The only other effect of acting is on its
         own RNG stream, which nothing else reads.
 
+        A replayed creator does not act: its logged adoption of this
+        iteration, if any, is applied as the agent's own would have been.
+        Inside a creator log scope, each adoption of a creator this world
+        computes is logged.
+
         Only an adopting agent changes its chain or fitness, so without SR
         the bookkeeping costs O(active agents), not O(lattice):
 
@@ -277,8 +346,9 @@ class World:
         * ``fitness_total`` moves by each adopter's gain.  Scores are ints,
           so it is exact, and the mean is the one a full sum gives;
         * an adopter that reaches ``absorbing_fitness`` leaves ``active``
-          and its chain joins ``absorbed_chains``, so diversity is the size
-          of their union with the active agents' chains.
+          or ``replayed`` and its chain joins ``absorbed_chains``, so
+          diversity is the size of their union with the chains of the
+          active and the replayed agents.
 
         The SR update and the p(C) histogram still cover every agent.
         """
@@ -304,6 +374,20 @@ class World:
                 if found is not None:
                     adopt(a, found[0], found[1])
                     adopters.append(a)
+        if self.replay:
+            for a, chain, fit in self.replay.pop(self.iteration, ()):
+                a.chain, a.fitness = chain, fit
+                adopters.append(a)
+        if self._record:
+            # The log outlives the agents' own chains until its bundle
+            # ends, so equal chains are logged as one object, and each
+            # adoption as three flat entries rather than a tuple.
+            chains = self._log_chains
+            for a in adopters:
+                events = self._record.get(a.id)
+                if events is not None:
+                    chain = chains.setdefault(a.chain, a.chain)
+                    events += (self.iteration, chain, a.fitness)
 
         top = self.absorbing_fitness
         total = self.fitness_total
@@ -317,6 +401,8 @@ class World:
         self.fitness_total = total
         if absorbed:
             self.active = [a for a in self.active if a.fitness < top]
+            if self.replayed:
+                self.replayed = [a for a in self.replayed if a.fitness < top]
 
         mean_fit = total / len(self.agents)
         if cfg.sr_enabled:
@@ -331,6 +417,8 @@ class World:
         # once.  Ids are unique among live objects, and the agents hold
         # every chain alive while it is counted.
         chains = {id(a.chain): a.chain for a in self.active}
+        if self.replayed:
+            chains.update({id(a.chain): a.chain for a in self.replayed})
         self.series.diversity.append(len(self.absorbed_chains.union(chains.values())))
         hist = self.series.p_create_hist
         if cfg.sr_enabled or not hist:
@@ -340,13 +428,17 @@ class World:
             hist.append(hist[-1])
 
     def run(self) -> RunSeries:
-        """Iterate to the horizon.  A run with no active agent left is
-        absorbed: it stops early and repeats its last series values, which
-        is what the remaining iterations would have recorded."""
+        """Iterate to the horizon.  A run with no active and no replayed
+        agent left below ``absorbing_fitness`` is absorbed: it stops early
+        and repeats its last series values, which is what the remaining
+        iterations would have recorded.  Inside a creator log scope, the
+        finished run then logs the creators it computed."""
         while self.iteration < self.cfg.iterations:
             self.step()
-            if not self.active:
+            if not self.active and not self.replayed:
                 self._pad_to_horizon()
+        if self._record:
+            self._log.update(self._record)
         return self.series
 
     def _pad_to_horizon(self) -> None:
