@@ -211,9 +211,9 @@ def _job(bundle: Sequence[Tuple[WorldConfig, int]]) -> List[RunSeries]:
 
 def _bundles(jobs: Sequence[Tuple[WorldConfig, int]]) -> List[List[int]]:
     """The job indices of each bundle, in the order of each bundle's first
-    job.  Jobs with one ``replay_key`` form one bundle, ordered by
-    descending creator fraction, so a (1, 1) corner logs every creator
-    before the other runs replay them; every other job is a bundle alone."""
+    job.  Jobs with one ``replay_key`` form one bundle, in job order: each
+    run computes only the creators the log lacks, so the order of its
+    members does not change the work.  Every other job is a bundle alone."""
     bundles: List[List[int]] = []
     by_key: Dict[tuple, List[int]] = {}
     for i, (cfg, run_index) in enumerate(jobs):
@@ -225,8 +225,6 @@ def _bundles(jobs: Sequence[Tuple[WorldConfig, int]]) -> List[List[int]]:
         else:
             by_key[key] = [i]
             bundles.append(by_key[key])
-    for bundle in by_key.values():
-        bundle.sort(key=lambda i: jobs[i][0].creator_fraction, reverse=True)
     return bundles
 
 
@@ -354,9 +352,9 @@ def execute_exp1(spec: ExperimentSpec, workers: Optional[int] = None) -> List[Pa
     # cost grows with C*p.  Dispatching the dearest cells first keeps every
     # worker busy to the end of the sweep.  The sort is stable, so ties
     # keep grid order; no output depends on this order.  run_jobs runs the
-    # p = 1 column of each run index as one bundle, corner first, at the
-    # place of its first job: the corner computes every creator, and the
-    # other (C, 1) runs replay them, so they cost about as much as their
+    # p = 1 column of each run index as one bundle at the place of its
+    # first job, which computes each creator once and replays it in every
+    # run of the column, so a (C, 1) run costs about as much as its
     # imitators.
     order = sorted(cell_cfg, key=lambda cell: cell[0] * cell[1], reverse=True)
     if (1.0, 1.0) not in cell_cfg:

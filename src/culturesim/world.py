@@ -17,7 +17,12 @@ from . import agent as agent_ops
 from .actions import ActionChain, NEUTRAL, SubAction
 from .agent import Agent
 from .analysis import RunSeries, p_create_histogram
-from .fitness import SINGLE_STEP_SCORES, TemplateSet, fitness_single_chain
+from .fitness import (
+    ACCEPTABLE_SUBACTIONS,
+    SINGLE_STEP_SCORES,
+    TemplateSet,
+    fitness_single_chain,
+)
 from .network import DECODE_SAFE_CALLS, AutoAssociator, LastPattern
 
 MODE_FIXED_ROLES = "fixed_roles"
@@ -186,15 +191,69 @@ _creator_logs: Optional[Dict[tuple, Dict[int, list]]] = None
 @contextlib.contextmanager
 def creator_log_scope():
     """Let the worlds built inside share their creators' adoptions: each
-    run that finishes logs the creators it computed, and a later world of
-    the same replay key replays them.  The log is dropped on exit, even if
-    a run raises."""
+    world of a replay key computes the creators the log does not hold yet
+    (``creator_adoptions``) and replays every creator from it.  The log is
+    dropped on exit, even if a run raises."""
     global _creator_logs
     saved, _creator_logs = _creator_logs, {}
     try:
         yield
     finally:
         _creator_logs = saved
+
+
+def creator_adoptions(
+    agent: Agent, cfg: WorldConfig, score: Callable[[SubAction], float],
+    top: Optional[float],
+) -> list:
+    """The adoptions of a fixed-role creator of creativity 1, run alone
+    through every iteration, as flat ``[iteration, chain, fitness, ...]``.
+
+    Such a creator reads no other agent, so this is the sequence of
+    adoptions ``World.step`` gives it, with the same draws: the create
+    draw, then ``invent`` (its collision and no-op rules included), then
+    ``adopt_if_fitter`` with its incremental int sum, and training on
+    adoption under trend learning.  The bias changes only when the network
+    trains, so it is read again only then.  The loop stops once the
+    creator reaches ``top``, the absorbing fitness, as ``step`` stops
+    moving it.  ``agent`` starts in the world's initial state with its own
+    RNG and network, which nothing reads once this returns.
+    """
+    mutate_subaction = agent_ops.mutate_subaction
+    extend_chain = agent_ops.extend_chain
+    chaining_enabled, max_chain_length = cfg.chaining_enabled, cfg.max_chain_length
+    rng, net = agent.rng, agent.net
+    random_ = rng.random
+    chain, fitness = agent.chain, agent.fitness
+    train = net.train if net.trend_learning else None
+    movement_bias, symmetry_bias = net.invention_bias()
+    events: list = []
+    for t in range(cfg.iterations):
+        random_()  # the create draw, which p = 1 always passes
+        new_final = mutate_subaction(chain[-1], movement_bias, symmetry_bias, rng)
+        if len(chain) > 1 and new_final == chain[-2]:
+            continue  # collided with the step before
+        candidate = chain if new_final is chain[-1] else chain[:-1] + (new_final,)
+        if chaining_enabled and new_final in ACCEPTABLE_SUBACTIONS:
+            candidate = extend_chain(
+                candidate, max_chain_length, movement_bias, symmetry_bias, rng
+            )
+        if candidate is chain:
+            continue  # nothing changed
+        k = len(chain) - 1
+        fit = fitness - score(chain[k])
+        for step in candidate[k:]:
+            fit += score(step)
+        if fit <= fitness:
+            continue
+        chain, fitness = candidate, fit
+        if train is not None:
+            train(chain[-1])
+            movement_bias, symmetry_bias = net.invention_bias()
+        events += (t, chain, fit)
+        if top is not None and fit >= top:
+            break
+    return events
 
 
 @functools.lru_cache(maxsize=None)
@@ -258,33 +317,47 @@ class World:
 
         initial_chain: ActionChain = (NEUTRAL,)
         initial_fitness = self.evaluate(initial_chain)
+        # Under a template set whose best step is the neutral one, every
+        # agent starts absorbed.
+        top = self.absorbing_fitness
+        starts_absorbed = top is not None and initial_fitness >= top
         # An agent trains at most once per step, so within a horizon of at
         # most DECODE_SAFE_CALLS its network decodes every pattern it is
         # trained on (network.py), and only the last one is ever read.
         net_class = (
             LastPattern if cfg.iterations <= DECODE_SAFE_CALLS else AutoAssociator
         )
-        # Inside a creator log scope, a creator the log holds is replayed:
-        # it gets no RNG and no network, and step() applies its logged
-        # adoptions.  Each creator this world computes is logged by run().
-        log = None
+        trend_learning = cfg.trend_learning
+        Random = random.Random
+        seed_parts = (cfg.base_seed, run_index)
+
+        # Inside a creator log scope every creator of a replay key is
+        # replayed: it gets no RNG and no network, and step() applies its
+        # logged adoptions.  Each one the log does not hold yet is computed
+        # first, alone, and dropped with its RNG and network once logged.
+        # The log lasts as long as its bundle, so equal chains are logged
+        # as one object.
+        log: Dict[int, list] = {}
+        replayed = set()
         if _creator_logs is not None:
             key = replay_key(cfg, run_index)
             if key is not None:
                 log = _creator_logs.setdefault(key, {})
-        replayed = {i for i in log if p_create[i] == 1.0} if log else set()
-        self._log = log
-        self._record: Optional[Dict[int, list]] = None if log is None else {
-            i: [] for i in range(n) if p_create[i] == 1.0 and i not in replayed
-        }
-        self._log_chains: Dict[ActionChain, ActionChain] = {}
+                replayed = {i for i in range(n) if p_create[i] == 1.0}
+        new = [] if starts_absorbed else sorted(replayed.difference(log))
+        chains: Dict[ActionChain, ActionChain] = {}
+        for i, seed in zip(new, derive_seeds(seed_parts, new)):
+            rng = Random(seed)
+            creator = Agent(i, 1.0, initial_chain, initial_fitness,
+                            net_class(rng, trend_learning), rng)
+            events = creator_adoptions(creator, cfg, self.score, top)
+            events[1::3] = [chains.setdefault(c, c) for c in events[1::3]]
+            log[i] = events
 
-        trend_learning = cfg.trend_learning
-        Random = random.Random
         self.agents: List[Agent] = []
         append = self.agents.append
-        computed = [i for i in range(n) if i not in replayed]
-        seeds = iter(derive_seeds((cfg.base_seed, run_index), computed))
+        stepped = [i for i in range(n) if i not in replayed]
+        seeds = iter(derive_seeds(seed_parts, stepped))
         for i in range(n):
             if i in replayed:
                 append(Agent(i, p_create[i], initial_chain, initial_fitness, None, None))
@@ -299,13 +372,10 @@ class World:
             (initial_chain, initial_fitness)
         ] * n
         self.fitness_total = initial_fitness * n
-        # The computed and the replayed agents that can still change their
-        # chain, and the chains of those that cannot; see step().  Under a
-        # template set whose best step is the neutral one, every agent
-        # starts absorbed.
-        top = self.absorbing_fitness
+        # The stepped and the replayed agents that can still change their
+        # chain, and the chains of those that cannot; see step().
         self.replay: Dict[int, List[Tuple[Agent, ActionChain, float]]] = {}
-        if top is not None and initial_fitness >= top:
+        if starts_absorbed:
             self.active, self.replayed, self.absorbed_chains = [], [], {initial_chain}
         else:
             self.active = [a for a in self.agents if a.rng is not None]
@@ -335,8 +405,6 @@ class World:
 
         A replayed creator does not act: its logged adoption of this
         iteration, if any, is applied as the agent's own would have been.
-        Inside a creator log scope, each adoption of a creator this world
-        computes is logged.
 
         Only an adopting agent changes its chain or fitness, so without SR
         the bookkeeping costs O(active agents), not O(lattice):
@@ -378,16 +446,6 @@ class World:
             for a, chain, fit in self.replay.pop(self.iteration, ()):
                 a.chain, a.fitness = chain, fit
                 adopters.append(a)
-        if self._record:
-            # The log outlives the agents' own chains until its bundle
-            # ends, so equal chains are logged as one object, and each
-            # adoption as three flat entries rather than a tuple.
-            chains = self._log_chains
-            for a in adopters:
-                events = self._record.get(a.id)
-                if events is not None:
-                    chain = chains.setdefault(a.chain, a.chain)
-                    events += (self.iteration, chain, a.fitness)
 
         top = self.absorbing_fitness
         total = self.fitness_total
@@ -431,14 +489,11 @@ class World:
         """Iterate to the horizon.  A run with no active and no replayed
         agent left below ``absorbing_fitness`` is absorbed: it stops early
         and repeats its last series values, which is what the remaining
-        iterations would have recorded.  Inside a creator log scope, the
-        finished run then logs the creators it computed."""
+        iterations would have recorded."""
         while self.iteration < self.cfg.iterations:
             self.step()
             if not self.active and not self.replayed:
                 self._pad_to_horizon()
-        if self._record:
-            self._log.update(self._record)
         return self.series
 
     def _pad_to_horizon(self) -> None:

@@ -1,13 +1,16 @@
-"""Replaying the creators of creativity 1 from one log per run index.
+"""Computing each creator of creativity 1 once per bundle and replaying it.
 
 In fixed roles a creator with p = 1 never imitates, so its adoptions are
 the same in every (C, 1) run of one run index.  ``run_jobs`` runs those
-runs as one bundle inside a creator log scope: the first run to compute a
-creator logs its adoptions, and the later ones replay them.  These tests
-show that a replaying world steps exactly as a plain one, and that no log
+runs as one bundle inside a creator log scope: each world computes the
+creators the log lacks with ``creator_adoptions``, one creator at a time,
+and replays every creator from the log.  These tests show that a
+replaying world steps exactly as a plain one, whatever ran before it in
+its bundle, that a bundle computes each creator once, and that no log
 outlives its bundle.
 """
 
+import json
 from dataclasses import replace
 
 import pytest
@@ -22,19 +25,35 @@ from culturesim.world import (
     World,
     WorldConfig,
     creator_log_scope,
+    replay_key,
     run_world,
 )
 
+
+def neutral_best_templates(tmp_path):
+    """A template file under which the neutral step scores best, so every
+    agent starts absorbed."""
+    path = tmp_path / "neutral.json"
+    path.write_text(json.dumps(["000000", "1*****"]))
+    return str(path)
+
+
+# Case -> (world settings, creator fractions of the runs that go before it
+# in its bundle).
 CASES = {
-    "single_step_c0.2": dict(creator_fraction=0.2),
-    "single_step_c0.4": dict(creator_fraction=0.4),
-    "single_step_c0.6": dict(creator_fraction=0.6),
-    "template_chaining": dict(creator_fraction=0.4, fitness_regime=REGIME_TEMPLATE,
-                              chaining_enabled=True),
-    "autoassociator": dict(lattice_side=6, iterations=DECODE_SAFE_CALLS + 20,
-                           creator_fraction=0.4, fitness_regime=REGIME_TEMPLATE,
-                           chaining_enabled=True),
-    "no_trend_learning": dict(creator_fraction=0.4, trend_learning=False),
+    "single_step_c0.2": (dict(creator_fraction=0.2), (1.0,)),
+    "single_step_c0.4": (dict(creator_fraction=0.4), (1.0,)),
+    "single_step_c0.6": (dict(creator_fraction=0.6), (1.0,)),
+    "template_chaining": (dict(creator_fraction=0.4, fitness_regime=REGIME_TEMPLATE,
+                               chaining_enabled=True), (1.0,)),
+    "autoassociator": (dict(lattice_side=6, iterations=DECODE_SAFE_CALLS + 20,
+                            creator_fraction=0.4, fitness_regime=REGIME_TEMPLATE,
+                            chaining_enabled=True), (1.0,)),
+    "no_trend_learning": (dict(creator_fraction=0.4, trend_learning=False), (1.0,)),
+    "neutral_best": (dict(creator_fraction=0.4, fitness_regime=REGIME_TEMPLATE,
+                          template_file=neutral_best_templates), (1.0,)),
+    "c0.0_member": (dict(creator_fraction=0.0), (0.4,)),
+    "corner_last": (dict(creator_fraction=1.0), (0.2, 0.0, 0.6)),
 }
 
 
@@ -44,18 +63,34 @@ def p1_world(**kw):
     return WorldConfig(**base)
 
 
+def spy_on_the_kernel(monkeypatch):
+    """The agents ``creator_adoptions`` is called with, in call order."""
+    computed = []
+    real = world_module.creator_adoptions
+
+    def spy(agent, *args):
+        computed.append(agent)
+        return real(agent, *args)
+
+    monkeypatch.setattr(world_module, "creator_adoptions", spy)
+    return computed
+
+
 @pytest.mark.parametrize("run_index", [0, 3])
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_a_replaying_world_steps_as_a_plain_one(case, run_index):
-    cfg = p1_world(**CASES[case])
+def test_a_replaying_world_steps_as_a_plain_one(case, run_index, tmp_path, monkeypatch):
+    kw, before = CASES[case]
+    if callable(kw.get("template_file")):
+        kw = dict(kw, template_file=kw["template_file"](tmp_path))
+    cfg = p1_world(**kw)
     plain = World(cfg, run_index)
+    computed = spy_on_the_kernel(monkeypatch)
     with creator_log_scope():
-        World(replace(cfg, creator_fraction=1.0), run_index).run()
+        for c in before:
+            World(replace(cfg, creator_fraction=c), run_index).run()
         world = World(cfg, run_index)
-    creators = sum(a.p_create == 1.0 for a in plain.agents)
-    assert creators > 0
-    assert len(world.replayed) == creators and not world._record
-    assert all(a.rng is None and a.net is None for a in world.replayed)
+    creators = [a.id for a in plain.agents if a.p_create == 1.0]
+    assert [a.id for a in world.agents if a.rng is None and a.net is None] == creators
     for _ in range(cfg.iterations):
         plain.step()
         world.step()
@@ -63,18 +98,39 @@ def test_a_replaying_world_steps_as_a_plain_one(case, run_index):
         assert world.series == plain.series
         assert sorted(a.id for a in world.active + world.replayed) == [
             a.id for a in plain.active]
+    # The kernel leaves each creator's RNG and bias where its steps left
+    # them, so it makes the same draws and stops where the step does.
+    by_id = {a.id: a for a in computed}
+    assert set(creators) <= set(by_id) or case == "neutral_best"
+    for i in set(creators) & set(by_id):
+        ours, theirs = by_id[i], plain.agents[i]
+        assert ours.rng.getstate() == theirs.rng.getstate()
+        assert ours.net.invention_bias() == theirs.net.invention_bias()
     with creator_log_scope():
-        run_world(replace(cfg, creator_fraction=1.0), run_index)
+        for c in before:
+            run_world(replace(cfg, creator_fraction=c), run_index)
         assert run_world(cfg, run_index) == run_world(cfg, run_index) == plain.series
 
 
-def test_a_world_built_outside_a_bundle_replays_nothing():
+def test_a_world_that_starts_absorbed_computes_no_creator(tmp_path, monkeypatch):
+    cfg = p1_world(creator_fraction=0.4, fitness_regime=REGIME_TEMPLATE,
+                   template_file=neutral_best_templates(tmp_path))
+    computed = spy_on_the_kernel(monkeypatch)
+    with creator_log_scope():
+        world = World(cfg, 0)
+        assert world.active == world.replayed == [] and world.replay == {}
+        assert world.run() == run_world(cfg, 0)
+    assert computed == []
+
+
+def test_a_world_built_outside_a_bundle_replays_nothing(monkeypatch):
     cfg = p1_world(creator_fraction=0.4)
     experiments.run_jobs([(replace(cfg, creator_fraction=1.0), 0), (cfg, 0)], 1)
     assert world_module._creator_logs is None
+    computed = spy_on_the_kernel(monkeypatch)
     world = World(cfg, 0)
     assert all(a.rng is not None and a.net is not None for a in world.agents)
-    assert world.replayed == [] and world._record is None
+    assert world.replayed == [] and computed == []
 
 
 def test_a_bundle_that_raises_leaves_no_log_scope(monkeypatch):
@@ -87,9 +143,9 @@ def test_a_bundle_that_raises_leaves_no_log_scope(monkeypatch):
         return real_run_world(cfg, run_index)
 
     monkeypatch.setattr(experiments, "run_world", spy)
-    # C = -0.5 shares the corner's replay key and sorts after it; its World
-    # fails validation once the corner has logged every creator.
-    jobs = [(replace(cfg, creator_fraction=-0.5), 0), (cfg, 0)]
+    # C = -0.5 shares the corner's replay key; its World fails validation
+    # once the corner has logged every creator.
+    jobs = [(cfg, 0), (replace(cfg, creator_fraction=-0.5), 0)]
     with pytest.raises(world_module.ConfigError, match="creator_fraction"):
         experiments.run_jobs(jobs, 1)
     assert logged == [0, cfg.n_agents]
@@ -109,30 +165,57 @@ def sweep_jobs():
     return jobs
 
 
+def with_bundles_reversed(jobs):
+    """``jobs`` with the members of each bundle in reverse order, so each
+    corner of ``sweep_jobs`` runs first."""
+    out = list(jobs)
+    for bundle in experiments._bundles(jobs):
+        for i, j in zip(bundle, reversed(bundle)):
+            out[i] = jobs[j]
+    return out
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_run_jobs_equals_per_job_runs_in_job_order(workers):
     jobs = sweep_jobs()
     assert experiments.run_jobs(jobs, workers) == [run_world(cfg, r) for cfg, r in jobs]
 
 
-def test_a_bundle_runs_its_corner_first_and_replays_every_creator(monkeypatch):
+@pytest.mark.parametrize("order", ["as_given", "bundles_reversed"])
+def test_a_bundle_computes_each_creator_once(order, monkeypatch):
     jobs = sweep_jobs()
-    calls, inventing = [], set()
-    real_run_world, real_invent = experiments.run_world, agent_ops.invent
+    if order == "bundles_reversed":
+        jobs = with_bundles_reversed(jobs)
+        assert jobs != sweep_jobs()
+    creators = {
+        (replay_key(cfg, r), a.id)
+        for cfg, r in jobs for a in World(cfg, r).agents if a.p_create == 1.0
+    }
+    per_job = [run_world(cfg, r) for cfg, r in jobs]
+
+    key, computed, inventing = [None], [], []
+    real_run_world = experiments.run_world
+    real_kernel, real_invent = world_module.creator_adoptions, agent_ops.invent
 
     def spy(cfg, run_index):
-        calls.append(jobs.index((cfg, run_index)))
+        key[0] = replay_key(cfg, run_index)
         return real_run_world(cfg, run_index)
 
+    def keyed_kernel(agent, *args):
+        computed.append((key[0], agent.id))
+        return real_kernel(agent, *args)
+
     def counted_invent(agent, *args):
-        inventing.add(calls[-1])
+        inventing.append(agent.p_create)
         return real_invent(agent, *args)
 
     monkeypatch.setattr(experiments, "run_world", spy)
+    monkeypatch.setattr(world_module, "creator_adoptions", keyed_kernel)
     monkeypatch.setattr(agent_ops, "invent", counted_invent)
-    experiments.run_jobs(jobs, 1)
-    # Each p = 1 bundle runs at its first job's place, in descending C.
-    assert calls == [2, 1, 0, 3, 6, 5, 4, 7, 10, 9, 8, 11, 12, 13]
-    # Imitators (p = 0) never invent, so once its corner has run, no other
-    # run of a bundle invents at all.
-    assert inventing == {2, 3, 6, 7, 10, 11, 12, 13}
+    assert experiments.run_jobs(jobs, 1) == per_job
+    # Each bundle computes each of its creators exactly once, whatever the
+    # order of its members.
+    assert len(computed) == len(set(computed)) and set(computed) == creators
+    # No creator of creativity 1 invents through the step inside a bundle;
+    # the p = 0.4 and shared_p runs still do.
+    assert inventing and 1.0 not in inventing
