@@ -1,6 +1,9 @@
 """One agent's per-iteration behavior: biased invention, chain extension,
 lazy imitation, and the social-regulation update of the personal creation
-probability.  The create-or-imitate draw is made in ``World.step``."""
+probability.  ``World.step`` writes out each agent's turn (the
+create-or-imitate draw, ``mutate_subaction``, ``invent``,
+``adopt_if_fitter``, ``imitate`` and ``adopt``) in its own loop, and calls
+``draw_position``, ``extend_chain`` and ``update_p_create`` from here."""
 
 from __future__ import annotations
 
@@ -122,6 +125,9 @@ def invent(agent: Agent, chaining_enabled: bool, max_chain_length: int) -> Actio
     changed nothing and nothing was appended.  An unchanged final step
     keeps the chain object, and ``extend_chain`` returns what it is given
     when it appends nothing.
+
+    ``World.step`` inlines this; it is kept as the reference form for the
+    benchmark's tracer (perfbench/spans.py) and the tests.
     """
     chain = agent.chain
     movement_bias, symmetry_bias = agent.net.invention_bias()
@@ -144,7 +150,10 @@ def imitate(
 ) -> Optional[Tuple[ActionChain, float]]:
     """Lazy scan: the four neighbour cells in a random order drawn with one
     ``random()``; the first strictly fitter ``snapshot[cell]`` wins, and
-    that ``(chain, fitness)`` pair is returned as it stands."""
+    that ``(chain, fitness)`` pair is returned as it stands.
+
+    ``World.step`` inlines this; it is kept as the reference form for the
+    benchmark's tracer (perfbench/spans.py) and the tests."""
     own = agent.fitness
     for idx in _PERMUTATIONS_4[int(agent.rng.random() * 24)]:
         pair = snapshot[cells[idx]]
@@ -163,6 +172,9 @@ def adopt_if_fitter(
     but the last, so only that step and the ones after it are scored.
     Step scores are ints and ``agent.fitness`` is the sum over its chain,
     so the result is exactly the candidate's whole-chain fitness.
+
+    ``World.step`` inlines this; it is kept as the reference form for the
+    benchmark's tracer (perfbench/spans.py) and the tests.
     """
     chain = agent.chain
     k = len(chain) - 1
@@ -183,6 +195,9 @@ def adopt(agent: Agent, chain: ActionChain, fit: float) -> None:
     update keeps 0 at 0), and without trend learning the bias is a
     constant, so in either case training could not change any output and
     is skipped.
+
+    ``World.step`` inlines this; it is kept as the reference form for the
+    benchmark's tracer (perfbench/spans.py) and the tests.
     """
     agent.chain = chain
     agent.fitness = fit

@@ -248,7 +248,9 @@ def run_jobs(jobs: Sequence[Tuple[WorldConfig, int]], workers: Optional[int] = N
         # path and ``import culturesim`` never need.
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(workers) as pool:
+        # Under fork every worker starts at the first submit, so a pool
+        # larger than its task list would start workers that never run.
+        with ProcessPoolExecutor(min(workers, len(tasks))) as pool:
             futures = [pool.submit(_job, task) for task in tasks]
             try:
                 outputs = [f.result() for f in futures]

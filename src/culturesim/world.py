@@ -15,7 +15,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from . import agent as agent_ops
 from .actions import ActionChain, NEUTRAL, SubAction
-from .agent import Agent
+from .agent import _PERMUTATIONS_4, FLIP_PROBABILITY, Agent
 from .analysis import RunSeries, p_create_histogram
 from .fitness import (
     ACCEPTABLE_SUBACTIONS,
@@ -372,15 +372,18 @@ class World:
             (initial_chain, initial_fitness)
         ] * n
         self.fitness_total = initial_fitness * n
+        # The one object of each chain an agent holds, and the number of
+        # agents holding each, by id; see step().
+        self.interned: Dict[ActionChain, ActionChain] = {initial_chain: initial_chain}
+        self.holders: Dict[int, int] = {id(initial_chain): n}
         # The stepped and the replayed agents that can still change their
-        # chain, and the chains of those that cannot; see step().
+        # chain; see step().
         self.replay: Dict[int, List[Tuple[Agent, ActionChain, float]]] = {}
         if starts_absorbed:
-            self.active, self.replayed, self.absorbed_chains = [], [], {initial_chain}
+            self.active, self.replayed = [], []
         else:
             self.active = [a for a in self.agents if a.rng is not None]
             self.replayed = [a for a in self.agents if a.rng is None]
-            self.absorbed_chains = set()
             for a in self.replayed:
                 events = log[a.id]
                 for t, chain, fit in zip(events[::3], events[1::3], events[2::3]):
@@ -403,59 +406,155 @@ class World:
         and adoption is strict.  The only other effect of acting is on its
         own RNG stream, which nothing else reads.
 
+        Each active agent's turn is written out here, in one loop, and takes
+        the draws of ``agent.mutate_subaction``, ``agent.invent``,
+        ``agent.adopt_if_fitter``, ``agent.imitate`` and ``agent.adopt``, in
+        their order: the create draw, then either the six flip draws (a
+        flipped part still draws through ``agent.draw_position``), the
+        collision and no-op rules, ``agent.extend_chain`` when chaining,
+        the incremental int score and adoption if strictly fitter; or one
+        draw for the order of the neighbour scan, which takes the first
+        strictly fitter snapshot pair.  An adopter trains its network on
+        its new final step, as ``agent.adopt`` does.  Extension is given
+        the new final step alone, with the room the whole chain has left,
+        so a candidate chain is built only when it is adopted.
+
         A replayed creator does not act: its logged adoption of this
         iteration, if any, is applied as the agent's own would have been.
 
         Only an adopting agent changes its chain or fitness, so without SR
-        the bookkeeping costs O(active agents), not O(lattice):
+        the bookkeeping costs O(adopters), not O(active agents):
 
         * the snapshot entry of each adopter is rewritten in place; every
           other entry still holds its agent's pair;
         * ``fitness_total`` moves by each adopter's gain.  Scores are ints,
           so it is exact, and the mean is the one a full sum gives;
-        * an adopter that reaches ``absorbing_fitness`` leaves ``active``
-          or ``replayed`` and its chain joins ``absorbed_chains``, so
-          diversity is the size of their union with the chains of the
-          active and the replayed agents.
+        * each adopted invention and replayed chain is interned, so equal
+          chains held by agents are one object, and ``holders`` counts the
+          agents that hold each object by its id.  Diversity is the number
+          of objects held; a chain whose last holder leaves is dropped.
 
         The SR update and the p(C) histogram still cover every agent.
         """
         cfg = self.cfg
         chaining_enabled, max_chain_length = cfg.chaining_enabled, cfg.max_chain_length
+        trend_learning = cfg.trend_learning
         snapshot = self.snapshot
         neighbors = self.neighbors
         score = self.score
+        interned = self.interned
+        intern = interned.setdefault
         # Looked up once per step, so a patched or traced kernel installed
-        # before the step still sees every call.
-        invent = agent_ops.invent
-        adopt_if_fitter = agent_ops.adopt_if_fitter
-        imitate = agent_ops.imitate
-        adopt = agent_ops.adopt
+        # before the step still sees every call the step makes.
+        draw_position = agent_ops.draw_position
+        extend_chain = agent_ops.extend_chain
+        flip = FLIP_PROBABILITY
+        acceptable = ACCEPTABLE_SUBACTIONS
+        orders = _PERMUTATIONS_4
         adopters = []
         for a in self.active:
-            if a.rng.random() < a.p_create:  # create, else imitate
-                candidate = invent(a, chaining_enabled, max_chain_length)
-                if candidate is not a.chain and adopt_if_fitter(a, candidate, score):
-                    adopters.append(a)
+            rng = a.rng
+            if rng.random() < a.p_create:  # create, else imitate
+                random_ = rng.random
+                # Invent: mutate the final step, each part flipped with
+                # probability 1/6; a limb copies its partner as it stands in
+                # the old step.
+                chain = a.chain
+                base = chain[-1]
+                movement_bias, symmetry_bias = a.net.invention_bias()
+                head, l_arm, r_arm, l_leg, r_leg, hips = base
+                changed = False
+                if random_() < flip:
+                    head = draw_position(head, 0, movement_bias, symmetry_bias, rng)
+                    changed = True
+                if random_() < flip:
+                    l_arm = draw_position(l_arm, r_arm, movement_bias, symmetry_bias, rng)
+                    changed = True
+                if random_() < flip:
+                    r_arm = draw_position(r_arm, base[1], movement_bias, symmetry_bias, rng)
+                    changed = True
+                if random_() < flip:
+                    l_leg = draw_position(l_leg, r_leg, movement_bias, symmetry_bias, rng)
+                    changed = True
+                if random_() < flip:
+                    r_leg = draw_position(r_leg, base[3], movement_bias, symmetry_bias, rng)
+                    changed = True
+                if random_() < flip:
+                    hips = draw_position(hips, 0, movement_bias, symmetry_bias, rng)
+                    changed = True
+                if changed:
+                    new_final = (head, l_arm, r_arm, l_leg, r_leg, hips)
+                    if len(chain) > 1 and new_final == chain[-2]:
+                        continue  # collided with the step before
+                    # Only the final step changed.  Scores are ints, so
+                    # the sum is exact in any order.
+                    fit = a.fitness - score(base) + score(new_final)
+                else:
+                    new_final, fit = base, a.fitness
+                steps = (new_final,)
+                if chaining_enabled and new_final in acceptable:
+                    # Extended alone, with the room the kept steps leave,
+                    # it appends what the whole candidate would.
+                    steps = extend_chain(
+                        steps, max_chain_length - len(chain) + 1,
+                        movement_bias, symmetry_bias, rng,
+                    )
+                    for step in steps[1:]:
+                        fit += score(step)
+                # Nothing changed (fit is the agent's own) or not fitter.
+                if fit <= a.fitness:
+                    continue
+                candidate = chain[:-1] + steps
+                a.chain = chain = intern(candidate, candidate)
+                a.fitness = fit
+                # An inventing agent has p(C) > 0.
+                if trend_learning:
+                    a.net.train(chain[-1])
+                adopters.append(a)
             else:
-                found = imitate(a, snapshot, neighbors[a.id])
-                if found is not None:
-                    adopt(a, found[0], found[1])
-                    adopters.append(a)
+                # Imitate: the first strictly fitter neighbour in a random
+                # order of the four.
+                own = a.fitness
+                cells = neighbors[a.id]
+                for idx in orders[int(rng.random() * 24)]:
+                    pair = snapshot[cells[idx]]
+                    if pair[1] > own:
+                        a.chain, a.fitness = pair
+                        # p(C) = 0 never invents again, and without trend
+                        # learning the bias is constant: no need to train.
+                        if trend_learning and a.p_create != 0.0:
+                            a.net.train(pair[0][-1])
+                        adopters.append(a)
+                        break
         if self.replay:
             for a, chain, fit in self.replay.pop(self.iteration, ()):
-                a.chain, a.fitness = chain, fit
+                a.chain, a.fitness = intern(chain, chain), fit
                 adopters.append(a)
 
         top = self.absorbing_fitness
         total = self.fitness_total
+        holders = self.holders
         absorbed = False
+        left = []
         for a in adopters:
-            total += a.fitness - snapshot[a.id][1]
-            snapshot[a.id] = (a.chain, a.fitness)
-            if top is not None and a.fitness >= top:
-                self.absorbed_chains.add(a.chain)
+            old_chain, old_fit = snapshot[a.id]
+            chain, fit = a.chain, a.fitness
+            total += fit - old_fit
+            snapshot[a.id] = (chain, fit)
+            key = id(chain)
+            holders[key] = holders.get(key, 0) + 1
+            left.append(old_chain)
+            if top is not None and fit >= top:
                 absorbed = True
+        # Every adopter is counted in before any leaves, so a chain that
+        # changes hands within the step is never dropped.
+        for chain in left:
+            key = id(chain)
+            count = holders[key] - 1
+            if count:
+                holders[key] = count
+            else:
+                del holders[key], interned[chain]
         self.fitness_total = total
         if absorbed:
             self.active = [a for a in self.active if a.fitness < top]
@@ -471,13 +570,7 @@ class World:
 
         self.iteration += 1
         self.series.mean_fitness.append(mean_fit)
-        # Imitation shares chain objects, so each distinct object is hashed
-        # once.  Ids are unique among live objects, and the agents hold
-        # every chain alive while it is counted.
-        chains = {id(a.chain): a.chain for a in self.active}
-        if self.replayed:
-            chains.update({id(a.chain): a.chain for a in self.replayed})
-        self.series.diversity.append(len(self.absorbed_chains.union(chains.values())))
+        self.series.diversity.append(len(holders))
         hist = self.series.p_create_hist
         if cfg.sr_enabled or not hist:
             hist.append(p_create_histogram([a.p_create for a in self.agents]))

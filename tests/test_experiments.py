@@ -288,6 +288,23 @@ def test_a_dead_worker_fails_the_sweep_instead_of_hanging_it():
     assert "BrokenProcessPool" in proc.stderr
 
 
+def test_a_pool_starts_no_more_workers_than_tasks(monkeypatch):
+    import concurrent.futures
+
+    started = []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, *args, **kwargs):
+            started.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    jobs = [(tiny_world(), 0), (tiny_world(), 1)]
+    assert len(experiments._bundles(jobs)) == 2
+    assert run_jobs(jobs, 8) == [run_world(cfg, r) for cfg, r in jobs]
+    assert started == [2]
+
+
 def exp1_dispatch(monkeypatch, tmp_path, grid_c, grid_p, runs=2):
     """Run a tiny exp1 sweep and return the jobs it dispatched as
     (C, p, run_index), with the rows of its surface.csv as (C, p)."""

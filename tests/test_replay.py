@@ -11,11 +11,11 @@ outlives its bundle.
 """
 
 import json
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
-from culturesim import agent as agent_ops
 from culturesim import experiments
 from culturesim import world as world_module
 from culturesim.network import DECODE_SAFE_CALLS
@@ -36,6 +36,17 @@ def neutral_best_templates(tmp_path):
     path = tmp_path / "neutral.json"
     path.write_text(json.dumps(["000000", "1*****"]))
     return str(path)
+
+
+def assert_interned(world):
+    """Each distinct chain the agents hold is one object: ``holders`` has
+    exactly one entry per distinct chain, counting its holders by id, and
+    the intern table holds that object and no other chain."""
+    chains = [a.chain for a in world.agents]
+    assert world.holders == dict(Counter(map(id, chains)))
+    assert len(world.holders) == len(set(chains))
+    assert world.interned == {c: c for c in chains}
+    assert all(world.interned[c] is c for c in chains)
 
 
 # Case -> (world settings, creator fractions of the runs that go before it
@@ -98,6 +109,7 @@ def test_a_replaying_world_steps_as_a_plain_one(case, run_index, tmp_path, monke
         assert world.series == plain.series
         assert sorted(a.id for a in world.active + world.replayed) == [
             a.id for a in plain.active]
+        assert_interned(world)
     # The kernel leaves each creator's RNG and bias where its steps left
     # them, so it makes the same draws and stops where the step does.
     by_id = {a.id: a for a in computed}
@@ -193,9 +205,9 @@ def test_a_bundle_computes_each_creator_once(order, monkeypatch):
     }
     per_job = [run_world(cfg, r) for cfg, r in jobs]
 
-    key, computed, inventing = [None], [], []
+    key, computed, stepped = [None], [], []
     real_run_world = experiments.run_world
-    real_kernel, real_invent = world_module.creator_adoptions, agent_ops.invent
+    real_kernel, real_init = world_module.creator_adoptions, World.__init__
 
     def spy(cfg, run_index):
         key[0] = replay_key(cfg, run_index)
@@ -205,17 +217,20 @@ def test_a_bundle_computes_each_creator_once(order, monkeypatch):
         computed.append((key[0], agent.id))
         return real_kernel(agent, *args)
 
-    def counted_invent(agent, *args):
-        inventing.append(agent.p_create)
-        return real_invent(agent, *args)
+    def recorded_init(self, cfg, run_index):
+        real_init(self, cfg, run_index)
+        stepped.append((cfg, [a.p_create for a in self.active]))
 
     monkeypatch.setattr(experiments, "run_world", spy)
     monkeypatch.setattr(world_module, "creator_adoptions", keyed_kernel)
-    monkeypatch.setattr(agent_ops, "invent", counted_invent)
+    monkeypatch.setattr(World, "__init__", recorded_init)
     assert experiments.run_jobs(jobs, 1) == per_job
     # Each bundle computes each of its creators exactly once, whatever the
     # order of its members.
     assert len(computed) == len(set(computed)) and set(computed) == creators
-    # No creator of creativity 1 invents through the step inside a bundle;
-    # the p = 0.4 and shared_p runs still do.
-    assert inventing and 1.0 not in inventing
+    # No creator of creativity 1 steps through World.step inside a bundle;
+    # the p = 0.4 and shared_p runs still have active inventing agents.
+    assert len(stepped) == len(jobs)
+    assert all(1.0 not in ps for cfg, ps in stepped)
+    others = [ps for cfg, ps in stepped if replay_key(cfg, 0) is None]
+    assert len(others) == 4 and all(any(p > 0.0 for p in ps) for ps in others)

@@ -3,6 +3,8 @@
 import hashlib
 import json
 import random
+import sys
+from collections import Counter
 from dataclasses import replace
 from importlib import resources
 
@@ -62,17 +64,28 @@ def test_neighbor_table_is_built_once_per_side_and_immutable():
 
 
 def count_decisions(monkeypatch, cfg):
-    """Run ``cfg`` and count the agents that chose to invent and to imitate."""
+    """Step ``cfg`` in lockstep with ``reference_step``, which runs every
+    agent's turn through ``reference_invent`` or ``reference_imitate``, and
+    count the agents that chose to invent and to imitate there.  The world
+    must stay equal to the reference at every step."""
     calls = {"invent": 0, "imitate": 0}
+    module = sys.modules[__name__]
     for name in calls:
-        real = getattr(agent_ops, name)
+        real = getattr(module, "reference_" + name)
 
         def counted(*args, _name=name, _real=real):
             calls[_name] += 1
             return _real(*args)
 
-        monkeypatch.setattr(agent_ops, name, counted)
-    run_world(cfg, 0)
+        monkeypatch.setattr(module, "reference_" + name, counted)
+    world, ref = World(cfg, 0), World(cfg, 0)
+    for _ in range(cfg.iterations):
+        world.step()
+        reference_step(ref)
+        assert world.series == ref.series
+        assert [(a.chain, a.fitness, a.p_create) for a in world.agents] == [
+            (a.chain, a.fitness, a.p_create) for a in ref.agents
+        ]
     return calls
 
 
@@ -81,8 +94,8 @@ def count_decisions(monkeypatch, cfg):
     ids=["p0", "p0.3", "p1"],
 )
 def test_agents_invent_with_probability_p_create(monkeypatch, p, low, high):
-    # Fixed roles with every agent a creator of creativity p: each active
-    # agent invents with probability p, and otherwise imitates.
+    # Fixed roles with every agent a creator of creativity p: each agent
+    # invents with probability p, and otherwise imitates.
     cfg = WorldConfig(lattice_side=16, iterations=30, creator_fraction=1.0,
                       creator_creativity=p)
     calls = count_decisions(monkeypatch, cfg)
@@ -335,12 +348,11 @@ def test_skipping_absorbed_agents_matches_the_reference_step(kw, run_index):
         assert skipped_at is not None and skipped_at < cfg.iterations
 
 
-# The names the benchmark's tracer wraps from outside the package
-# (perfbench/spans.py): World.step must keep reaching each through its
-# module, or the tracer's counts and spans silently read 0.
-TRACED_AGENT_KERNELS = (
-    "invent", "extend_chain", "adopt_if_fitter", "imitate", "adopt", "update_p_create",
-)
+# The agent kernels the benchmark's tracer wraps from outside the package
+# (perfbench/spans.py) that World.step still calls: it must keep reaching
+# each through its module, or the tracer's counts and spans silently read 0.
+# The rest of each agent's turn is written out in the step.
+TRACED_AGENT_KERNELS = ("extend_chain", "update_p_create")
 
 
 def test_a_step_calls_every_traced_kernel_through_its_module(monkeypatch):
@@ -476,6 +488,17 @@ def neutral_best_templates(tmp_path):
     return str(path)
 
 
+def assert_interned(world):
+    """Each distinct chain the agents hold is one object: ``holders`` has
+    exactly one entry per distinct chain, counting its holders by id, and
+    the intern table holds that object and no other chain."""
+    chains = [a.chain for a in world.agents]
+    assert world.holders == dict(Counter(map(id, chains)))
+    assert len(world.holders) == len(set(chains))
+    assert world.interned == {c: c for c in chains}
+    assert all(world.interned[c] is c for c in chains)
+
+
 @pytest.mark.parametrize(
     "kw",
     [
@@ -508,6 +531,7 @@ def test_active_bookkeeping_matches_the_reference_step(kw, side, tmp_path):
         assert world.active == [
             a for a in world.agents if top is None or a.fitness < top
         ]
+        assert_interned(world)
     assert World(cfg, 0).run() == ref.series
 
 
