@@ -3,7 +3,11 @@ lazy imitation, and the social-regulation update of the personal creation
 probability.  ``World.step`` writes out each agent's turn (the
 create-or-imitate draw, ``mutate_subaction``, ``invent``,
 ``adopt_if_fitter``, ``imitate`` and ``adopt``) in its own loop, and calls
-``draw_position``, ``extend_chain`` and ``update_p_create`` from here."""
+``draw_position``, ``extend_chain`` and ``update_p_create`` from here.
+``world.creator_adoptions``, the kernel of a fixed-role creator of
+creativity 1, is the other place that writes out ``mutate_subaction`` and
+``draw_position``, with ``invent`` and ``adopt_if_fitter``; it calls
+``extend_chain`` from here."""
 
 from __future__ import annotations
 

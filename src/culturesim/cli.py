@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from concurrent.futures import BrokenExecutor
 from dataclasses import replace
@@ -47,6 +48,10 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    # A NaN threshold is never reached and an infinite one always or
+    # never, so either would print a time that measures nothing.
+    if not math.isfinite(args.tau):
+        raise ConfigError(f"tau must be finite, got {args.tau!r}")
     series = _read_series(args.series)
     if not series:
         raise ConfigError(f"{args.series} contains no data rows")

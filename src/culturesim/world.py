@@ -15,7 +15,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from . import agent as agent_ops
 from .actions import ActionChain, NEUTRAL, SubAction
-from .agent import _PERMUTATIONS_4, FLIP_PROBABILITY, Agent
+from .agent import _MAX_DRAW_TRIES, _PERMUTATIONS_4, FLIP_PROBABILITY, Agent
 from .analysis import RunSeries, p_create_histogram
 from .fitness import (
     ACCEPTABLE_SUBACTIONS,
@@ -202,6 +202,13 @@ def creator_log_scope():
         _creator_logs = saved
 
 
+# The six parts of a sub-action, and each part's symmetric partner, or
+# None for partner 0: arms 1 and 2, legs 3 and 4; head (0) and hips (5)
+# have none.
+_PARTS = (0, 1, 2, 3, 4, 5)
+_PARTNERS = (None, 2, 1, 4, 3, None)
+
+
 def creator_adoptions(
     agent: Agent, cfg: WorldConfig, score: Callable[[SubAction], float],
     top: Optional[float],
@@ -210,30 +217,59 @@ def creator_adoptions(
     through every iteration, as flat ``[iteration, chain, fitness, ...]``.
 
     Such a creator reads no other agent, so this is the sequence of
-    adoptions ``World.step`` gives it, with the same draws: the create
-    draw, then ``invent`` (its collision and no-op rules included), then
-    ``adopt_if_fitter`` with its incremental int sum, and training on
-    adoption under trend learning.  The bias changes only when the network
-    trains, so it is read again only then.  The loop stops once the
-    creator reaches ``top``, the absorbing fitness, as ``step`` stops
-    moving it.  ``agent`` starts in the world's initial state with its own
-    RNG and network, which nothing reads once this returns.
+    adoptions ``World.step`` gives it, with the same draws.  Each iteration
+    is written out here, so one that adopts nothing calls only the RNG's
+    methods, ``score`` and builtins: the create draw, then the six flip
+    draws of ``agent.mutate_subaction`` with ``agent.draw_position``'s
+    retries and fallback for each flipped part, then ``invent``'s
+    collision and no-op rules, with ``agent.extend_chain`` called when
+    chaining, then ``adopt_if_fitter``'s incremental int sum, and training
+    on adoption under trend learning.  The bias changes only when the network trains,
+    so it is read again only then.  The loop stops once the creator
+    reaches ``top``, the absorbing fitness, as ``step`` stops moving it.
+    ``agent`` starts in the world's initial state with its own RNG and
+    network, which nothing reads once this returns.
     """
-    mutate_subaction = agent_ops.mutate_subaction
     extend_chain = agent_ops.extend_chain
     chaining_enabled, max_chain_length = cfg.chaining_enabled, cfg.max_chain_length
     rng, net = agent.rng, agent.net
-    random_ = rng.random
+    random_, choice = rng.random, rng.choice
+    flip, tries = FLIP_PROBABILITY, range(_MAX_DRAW_TRIES)
+    parts, partners = _PARTS, _PARTNERS
     chain, fitness = agent.chain, agent.fitness
     train = net.train if net.trend_learning else None
     movement_bias, symmetry_bias = net.invention_bias()
+    p_active = (1.0 + 2.0 * movement_bias) / 3.0
     events: list = []
     for t in range(cfg.iterations):
         random_()  # the create draw, which p = 1 always passes
-        new_final = mutate_subaction(chain[-1], movement_bias, symmetry_bias, rng)
+        # Mutate the final step: each part flips with probability 1/6, and
+        # a flipped limb copies its partner as it stands in the old step.
+        base = chain[-1]
+        flipped = None
+        for i in parts:
+            if random_() < flip:
+                current, j = base[i], partners[i]
+                partner = 0 if j is None else base[j]
+                for _ in tries:
+                    if random_() >= p_active:
+                        value = 0
+                    elif partner != 0:
+                        value = partner if random_() < symmetry_bias else -partner
+                    else:
+                        value = 1 if random_() < 0.5 else -1
+                    if value != current:
+                        break
+                else:
+                    # Biases pinned an impossible draw.
+                    value = choice([v for v in (-1, 0, 1) if v != current])
+                if flipped is None:
+                    flipped = list(base)
+                flipped[i] = value
+        new_final = base if flipped is None else tuple(flipped)
         if len(chain) > 1 and new_final == chain[-2]:
             continue  # collided with the step before
-        candidate = chain if new_final is chain[-1] else chain[:-1] + (new_final,)
+        candidate = chain if flipped is None else chain[:-1] + (new_final,)
         if chaining_enabled and new_final in ACCEPTABLE_SUBACTIONS:
             candidate = extend_chain(
                 candidate, max_chain_length, movement_bias, symmetry_bias, rng
@@ -250,6 +286,7 @@ def creator_adoptions(
         if train is not None:
             train(chain[-1])
             movement_bias, symmetry_bias = net.invention_bias()
+            p_active = (1.0 + 2.0 * movement_bias) / 3.0
         events += (t, chain, fit)
         if top is not None and fit >= top:
             break

@@ -183,6 +183,16 @@ def test_run_command_names_a_bad_workers_variable(tmp_path, capsys, monkeypatch)
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("tau", ["nan", "inf", "-inf"])
+def test_analyze_rejects_a_non_finite_tau(tmp_path, capsys, tau):
+    series = tmp_path / "series.csv"
+    series.write_text("iter,mean_fitness\n1,2.0\n2,4.0\n")
+    assert main(["analyze", str(series), f"--tau={tau}", "--rate", "0.9"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: tau must be finite, got {tau}\n"
+
+
 def test_analyze_prints_nothing_before_a_bad_rate(tmp_path, capsys):
     series = tmp_path / "series.csv"
     series.write_text("iter,mean_fitness\n1,2.0\n2,4.0\n")

@@ -16,18 +16,23 @@ from dataclasses import replace
 
 import pytest
 
+from culturesim import agent as agent_ops
 from culturesim import experiments
 from culturesim import world as world_module
+from culturesim.actions import NEUTRAL
+from culturesim.fitness import SINGLE_STEP_SCORES, TemplateSet
 from culturesim.network import DECODE_SAFE_CALLS
 from culturesim.world import (
     MODE_SHARED_P,
     REGIME_TEMPLATE,
     World,
     WorldConfig,
+    creator_adoptions,
     creator_log_scope,
     replay_key,
     run_world,
 )
+from test_agent import BIAS_GRID, CountingRandom
 
 
 def neutral_best_templates(tmp_path):
@@ -234,3 +239,71 @@ def test_a_bundle_computes_each_creator_once(order, monkeypatch):
     assert all(1.0 not in ps for cfg, ps in stepped)
     others = [ps for cfg, ps in stepped if replay_key(cfg, 0) is None]
     assert len(others) == 4 and all(any(p > 0.0 for p in ps) for ps in others)
+
+
+class PinnedNet:
+    """A network whose invention bias is pinned: training changes nothing."""
+
+    trend_learning = True
+
+    def __init__(self, bias):
+        self.bias = bias
+
+    def invention_bias(self):
+        return self.bias
+
+    def train(self, step):
+        pass
+
+
+def plain_creator_adoptions(agent, cfg, score, top):
+    """``creator_adoptions`` as the reference kernels run it: the create
+    draw, ``invent``, and ``adopt_if_fitter`` unless the candidate is the
+    chain itself, until the creator reaches ``top``."""
+    events = []
+    for t in range(cfg.iterations):
+        agent.rng.random()
+        candidate = agent_ops.invent(agent, cfg.chaining_enabled, cfg.max_chain_length)
+        if candidate is not agent.chain and agent_ops.adopt_if_fitter(
+                agent, candidate, score):
+            events += (t, agent.chain, agent.fitness)
+            if top is not None and agent.fitness >= top:
+                break
+    return events
+
+
+# Regime -> (world settings, step scores).
+KERNEL_REGIMES = {
+    "single_step": (dict(), SINGLE_STEP_SCORES),
+    "chain_max1": (dict(fitness_regime=REGIME_TEMPLATE, chaining_enabled=True,
+                        max_chain_length=1), TemplateSet.default().scores),
+    "chain_max3": (dict(fitness_regime=REGIME_TEMPLATE, chaining_enabled=True,
+                        max_chain_length=3), TemplateSet.default().scores),
+    "chain_max50": (dict(fitness_regime=REGIME_TEMPLATE, chaining_enabled=True,
+                         max_chain_length=50), TemplateSet.default().scores),
+}
+
+
+@pytest.mark.parametrize("bounded", [False, True], ids=["top_none", "top_best"])
+@pytest.mark.parametrize("regime", sorted(KERNEL_REGIMES))
+def test_the_creator_kernel_invents_and_adopts_as_the_reference_kernels(regime, bounded):
+    kw, scores = KERNEL_REGIMES[regime]
+    cfg = WorldConfig(iterations=200, **kw)
+    top = scores.best() if bounded else None
+    for bias in BIAS_GRID:
+        fallbacks = 0
+        for seed in range(4):
+            ours, theirs = (
+                agent_ops.Agent(0, 1.0, (NEUTRAL,), scores[NEUTRAL], PinnedNet(bias),
+                                CountingRandom(seed))
+                for _ in range(2)
+            )
+            got = creator_adoptions(ours, cfg, scores.__getitem__, top)
+            want = plain_creator_adoptions(theirs, cfg, scores.__getitem__, top)
+            assert got == want
+            assert ours.rng.getstate() == theirs.rng.getstate()
+            assert ours.rng.fallbacks == theirs.rng.fallbacks
+            fallbacks += ours.rng.fallbacks
+        if bias == (1.0, 1.0):
+            # The written-out fallback of draw_position ran.
+            assert fallbacks > 0
