@@ -1,13 +1,13 @@
 """One agent's per-iteration behavior: biased invention, chain extension,
 lazy imitation, and the social-regulation update of the personal creation
-probability.  ``World.step`` writes out each agent's turn (the
-create-or-imitate draw, ``mutate_subaction``, ``invent``,
+probability.  ``mutate_subaction`` is the one written form of invention's
+flip-and-draw rule.  ``World.step`` writes out each agent's turn (the
+create-or-imitate draw, the ``mutate_subaction`` loop, ``invent``,
 ``adopt_if_fitter``, ``imitate`` and ``adopt``) in its own loop, and calls
-``draw_position``, ``extend_chain`` and ``update_p_create`` from here.
+``extend_chain`` and ``update_p_create`` from here.
 ``world.creator_adoptions``, the kernel of a fixed-role creator of
-creativity 1, is the other place that writes out ``mutate_subaction`` and
-``draw_position``, with ``invent`` and ``adopt_if_fitter``; it calls
-``extend_chain`` from here."""
+creativity 1, writes out the same loop and scores as the step does; it
+calls ``extend_chain`` from here."""
 
 from __future__ import annotations
 
@@ -34,65 +34,54 @@ class Agent:
     rng: Optional[random.Random]
 
 
-def draw_position(
-    current: int, partner: int, movement_bias: float, symmetry_bias: float,
-    rng: random.Random,
-) -> int:
-    """Draw a new position for a flipped component, guaranteed != current.
-
-    Active-vs-neutral is biased by the MOVEMENT activation (uniform over
-    the three positions at bias 0.5, never neutral at bias 1).  When the
-    symmetric partner limb is active, its direction is copied with
-    probability equal to the SYMMETRY activation.
-    """
-    p_active = (1.0 + 2.0 * movement_bias) / 3.0
-    for _ in range(_MAX_DRAW_TRIES):
-        if rng.random() >= p_active:
-            value = 0
-        elif partner != 0:
-            value = partner if rng.random() < symmetry_bias else -partner
-        else:
-            value = 1 if rng.random() < 0.5 else -1
-        if value != current:
-            return value
-    # Biases pinned an impossible draw; fall back to uniform over the rest.
-    return rng.choice([v for v in (-1, 0, 1) if v != current])
+# The six parts of a sub-action, and each part's symmetric partner, or
+# None for partner 0: arms 1 and 2, legs 3 and 4; head (0) and hips (5)
+# have none.
+_PARTS = (0, 1, 2, 3, 4, 5)
+_PARTNERS = (None, 2, 1, 4, 3, None)
 
 
 def mutate_subaction(
     base: SubAction, movement_bias: float, symmetry_bias: float, rng: random.Random
 ) -> SubAction:
-    """Flip each component with probability 1/6 (one change on average).
+    """Flip each part with probability 1/6 (one change on average), and
+    draw a new position for each flipped part, never its current one.
 
-    The six components are written out in order.  A flipped limb copies
-    its symmetric partner as it stands in ``base`` (arms 1 and 2, legs 3
-    and 4); head (0) and hips (5) have partner 0.  With no flip, ``base``
-    itself is returned.
+    Active-vs-neutral is biased by the MOVEMENT activation (uniform over
+    the three positions at bias 0.5, never neutral at bias 1).  A flipped
+    limb whose symmetric partner is active in ``base`` copies its
+    direction with probability equal to the SYMMETRY activation.  After
+    ``_MAX_DRAW_TRIES`` draws that all equal the current position (biases
+    that pin an impossible draw), the position is drawn uniformly from
+    the other two.  With no flip, ``base`` itself is returned.
+
+    This loop is the one written form of the flip-and-draw rule:
+    ``World.step`` and ``world.creator_adoptions`` write it out inline,
+    with the same text up to local aliases.
     """
     random_ = rng.random
-    head, l_arm, r_arm, l_leg, r_leg, hips = base
-    changed = False
-    if random_() < FLIP_PROBABILITY:
-        head = draw_position(head, 0, movement_bias, symmetry_bias, rng)
-        changed = True
-    if random_() < FLIP_PROBABILITY:
-        l_arm = draw_position(l_arm, r_arm, movement_bias, symmetry_bias, rng)
-        changed = True
-    if random_() < FLIP_PROBABILITY:
-        r_arm = draw_position(r_arm, base[1], movement_bias, symmetry_bias, rng)
-        changed = True
-    if random_() < FLIP_PROBABILITY:
-        l_leg = draw_position(l_leg, r_leg, movement_bias, symmetry_bias, rng)
-        changed = True
-    if random_() < FLIP_PROBABILITY:
-        r_leg = draw_position(r_leg, base[3], movement_bias, symmetry_bias, rng)
-        changed = True
-    if random_() < FLIP_PROBABILITY:
-        hips = draw_position(hips, 0, movement_bias, symmetry_bias, rng)
-        changed = True
-    if changed:
-        return (head, l_arm, r_arm, l_leg, r_leg, hips)
-    return base
+    flipped = None
+    for i in _PARTS:
+        if random_() < FLIP_PROBABILITY:
+            if flipped is None:
+                flipped = list(base)
+                p_active = (1.0 + 2.0 * movement_bias) / 3.0
+            current, j = base[i], _PARTNERS[i]
+            partner = 0 if j is None else base[j]
+            for _ in range(_MAX_DRAW_TRIES):
+                if random_() >= p_active:
+                    value = 0
+                elif partner != 0:
+                    value = partner if random_() < symmetry_bias else -partner
+                else:
+                    value = 1 if random_() < 0.5 else -1
+                if value != current:
+                    break
+            else:
+                # Biases pinned an impossible draw.
+                value = rng.choice([v for v in (-1, 0, 1) if v != current])
+            flipped[i] = value
+    return base if flipped is None else tuple(flipped)
 
 
 def extend_chain(

@@ -27,11 +27,26 @@ from .world import ConfigError
 
 
 def _read_series(path: str) -> List[float]:
+    """The mean_fitness column of a series CSV.  A row without a finite
+    number there fails with the file and line named."""
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or "mean_fitness" not in reader.fieldnames:
             raise ConfigError(f"{path} has no mean_fitness column")
-        return [float(row["mean_fitness"]) for row in reader]
+        series = []
+        for row in reader:
+            text = row["mean_fitness"]  # None in a short row
+            try:
+                value = float(text)
+            except (TypeError, ValueError):
+                value = math.nan
+            if not math.isfinite(value):
+                raise ConfigError(
+                    f"{path} line {reader.line_num}: mean_fitness must be a finite"
+                    f" number, got {'nothing' if text is None else repr(text)}"
+                )
+            series.append(value)
+        return series
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -49,9 +64,12 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     # A NaN threshold is never reached and an infinite one always or
-    # never, so either would print a time that measures nothing.
-    if not math.isfinite(args.tau):
-        raise ConfigError(f"tau must be finite, got {args.tau!r}")
+    # never, so either would print a time that measures nothing.  An
+    # infinite interest rate would convert to a factor of 0.
+    for name in ("tau", "rate"):
+        value = getattr(args, name)
+        if not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value!r}")
     series = _read_series(args.series)
     if not series:
         raise ConfigError(f"{args.series} contains no data rows")

@@ -12,7 +12,7 @@ import os
 import tempfile
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .analysis import (
     CellSummary,
@@ -282,41 +282,28 @@ def atomic_write(path: Path, text: str) -> None:
         raise
 
 
+def _csv(header: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
+    """The CSV text of ``header`` and ``rows`` of formatted fields."""
+    return "\n".join(",".join(row) for row in [header, *rows]) + "\n"
+
+
+_SERIES_COLUMNS = ("mean_fitness", "diversity", "frac_low", "frac_mid", "frac_high")
+
+
 def series_csv(avg: Dict[str, List[float]]) -> str:
-    lines = ["iter,mean_fitness,diversity,frac_low,frac_mid,frac_high"]
-    horizon = len(avg["mean_fitness"])
-    for t in range(horizon):
-        lines.append(
-            ",".join(
-                [
-                    str(t + 1),
-                    fmt(avg["mean_fitness"][t]),
-                    fmt(avg["diversity"][t]),
-                    fmt(avg["frac_low"][t]),
-                    fmt(avg["frac_mid"][t]),
-                    fmt(avg["frac_high"][t]),
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+    rows = zip(*(avg[name] for name in _SERIES_COLUMNS))
+    return _csv(
+        ("iter",) + _SERIES_COLUMNS,
+        ([str(t)] + [fmt(v) for v in row] for t, row in enumerate(rows, 1)),
+    )
 
 
 def surface_csv(cells: Sequence[CellSummary]) -> str:
-    lines = ["C,p,runs,mean_ttt_log10,censored_count,mean_piv"]
-    for cell in cells:
-        lines.append(
-            ",".join(
-                [
-                    fmt(cell.c),
-                    fmt(cell.p),
-                    str(cell.runs),
-                    fmt(cell.mean_ttt_log10),
-                    str(cell.censored_count),
-                    fmt(cell.mean_piv),
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+    return _csv(
+        ("C", "p", "runs", "mean_ttt_log10", "censored_count", "mean_piv"),
+        ((fmt(cell.c), fmt(cell.p), str(cell.runs), fmt(cell.mean_ttt_log10),
+          str(cell.censored_count), fmt(cell.mean_piv)) for cell in cells),
+    )
 
 
 def _sha256_file(path: Path) -> str:
@@ -402,8 +389,12 @@ def execute_paired_sr(spec: ExperimentSpec, workers: Optional[int] = None) -> Li
 def execute(spec: ExperimentSpec, workers: Optional[int] = None) -> List[Path]:
     """Run ``spec`` as it stands.  ``load_config`` and ``preset_spec``
     decide a preset's settings; ``validate`` rejects a world that breaks
-    them."""
+    them.  The worker count and the output directory are settled before
+    any run, so a bad one fails the sweep before it starts."""
     spec = spec.validate()
+    if workers is None:
+        workers = worker_count()
+    Path(spec.output_dir).mkdir(parents=True, exist_ok=True)
     if spec.preset == PRESET_EXP1:
         return execute_exp1(spec, workers)
     if spec.preset in (PRESET_EXP2, PRESET_EXP3):

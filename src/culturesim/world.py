@@ -15,7 +15,9 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from . import agent as agent_ops
 from .actions import ActionChain, NEUTRAL, SubAction
-from .agent import _MAX_DRAW_TRIES, _PERMUTATIONS_4, FLIP_PROBABILITY, Agent
+from .agent import (
+    _MAX_DRAW_TRIES, _PARTNERS, _PARTS, _PERMUTATIONS_4, FLIP_PROBABILITY, Agent,
+)
 from .analysis import RunSeries, p_create_histogram
 from .fitness import (
     ACCEPTABLE_SUBACTIONS,
@@ -202,13 +204,6 @@ def creator_log_scope():
         _creator_logs = saved
 
 
-# The six parts of a sub-action, and each part's symmetric partner, or
-# None for partner 0: arms 1 and 2, legs 3 and 4; head (0) and hips (5)
-# have none.
-_PARTS = (0, 1, 2, 3, 4, 5)
-_PARTNERS = (None, 2, 1, 4, 3, None)
-
-
 def creator_adoptions(
     agent: Agent, cfg: WorldConfig, score: Callable[[SubAction], float],
     top: Optional[float],
@@ -218,28 +213,28 @@ def creator_adoptions(
 
     Such a creator reads no other agent, so this is the sequence of
     adoptions ``World.step`` gives it, with the same draws.  Each iteration
-    is written out here, so one that adopts nothing calls only the RNG's
-    methods, ``score`` and builtins: the create draw, then the six flip
-    draws of ``agent.mutate_subaction`` with ``agent.draw_position``'s
-    retries and fallback for each flipped part, then ``invent``'s
-    collision and no-op rules, with ``agent.extend_chain`` called when
-    chaining, then ``adopt_if_fitter``'s incremental int sum, and training
-    on adoption under trend learning.  The bias changes only when the network trains,
-    so it is read again only then.  The loop stops once the creator
-    reaches ``top``, the absorbing fitness, as ``step`` stops moving it.
-    ``agent`` starts in the world's initial state with its own RNG and
-    network, which nothing reads once this returns.
+    is the step's create turn, written out as the step writes it: the
+    create draw, the flip-and-draw loop of ``agent.mutate_subaction``, the
+    collision rule, the score of the new final step, ``agent.extend_chain``
+    when chaining, strict adoption, and training on adoption under trend
+    learning.  So an iteration that adopts nothing calls only the RNG's
+    methods, ``score`` and builtins, and builds no candidate chain.  The
+    bias changes only when the network trains, so it is read again only
+    then.  The loop stops once the creator reaches ``top``, the absorbing
+    fitness, as ``step`` stops moving it.  ``agent`` starts in the world's
+    initial state with its own RNG and network, which nothing reads once
+    this returns.
     """
     extend_chain = agent_ops.extend_chain
     chaining_enabled, max_chain_length = cfg.chaining_enabled, cfg.max_chain_length
     rng, net = agent.rng, agent.net
-    random_, choice = rng.random, rng.choice
+    random_ = rng.random
     flip, tries = FLIP_PROBABILITY, range(_MAX_DRAW_TRIES)
     parts, partners = _PARTS, _PARTNERS
+    acceptable = ACCEPTABLE_SUBACTIONS
     chain, fitness = agent.chain, agent.fitness
     train = net.train if net.trend_learning else None
     movement_bias, symmetry_bias = net.invention_bias()
-    p_active = (1.0 + 2.0 * movement_bias) / 3.0
     events: list = []
     for t in range(cfg.iterations):
         random_()  # the create draw, which p = 1 always passes
@@ -249,6 +244,9 @@ def creator_adoptions(
         flipped = None
         for i in parts:
             if random_() < flip:
+                if flipped is None:
+                    flipped = list(base)
+                    p_active = (1.0 + 2.0 * movement_bias) / 3.0
                 current, j = base[i], partners[i]
                 partner = 0 if j is None else base[j]
                 for _ in tries:
@@ -262,31 +260,31 @@ def creator_adoptions(
                         break
                 else:
                     # Biases pinned an impossible draw.
-                    value = choice([v for v in (-1, 0, 1) if v != current])
-                if flipped is None:
-                    flipped = list(base)
+                    value = rng.choice([v for v in (-1, 0, 1) if v != current])
                 flipped[i] = value
-        new_final = base if flipped is None else tuple(flipped)
-        if len(chain) > 1 and new_final == chain[-2]:
-            continue  # collided with the step before
-        candidate = chain if flipped is None else chain[:-1] + (new_final,)
-        if chaining_enabled and new_final in ACCEPTABLE_SUBACTIONS:
-            candidate = extend_chain(
-                candidate, max_chain_length, movement_bias, symmetry_bias, rng
+        if flipped is None:
+            new_final, fit = base, fitness
+        else:
+            new_final = tuple(flipped)
+            if len(chain) > 1 and new_final == chain[-2]:
+                continue  # collided with the step before
+            # Only the final step changed; scores are ints.
+            fit = fitness - score(base) + score(new_final)
+        steps = (new_final,)
+        if chaining_enabled and new_final in acceptable:
+            steps = extend_chain(
+                steps, max_chain_length - len(chain) + 1,
+                movement_bias, symmetry_bias, rng,
             )
-        if candidate is chain:
-            continue  # nothing changed
-        k = len(chain) - 1
-        fit = fitness - score(chain[k])
-        for step in candidate[k:]:
-            fit += score(step)
+            for step in steps[1:]:
+                fit += score(step)
+        # Nothing changed (fit is the creator's own) or not fitter.
         if fit <= fitness:
             continue
-        chain, fitness = candidate, fit
+        chain, fitness = chain[:-1] + steps, fit
         if train is not None:
             train(chain[-1])
             movement_bias, symmetry_bias = net.invention_bias()
-            p_active = (1.0 + 2.0 * movement_bias) / 3.0
         events += (t, chain, fit)
         if top is not None and fit >= top:
             break
@@ -444,10 +442,10 @@ class World:
         own RNG stream, which nothing else reads.
 
         Each active agent's turn is written out here, in one loop, and takes
-        the draws of ``agent.mutate_subaction``, ``agent.invent``,
-        ``agent.adopt_if_fitter``, ``agent.imitate`` and ``agent.adopt``, in
-        their order: the create draw, then either the six flip draws (a
-        flipped part still draws through ``agent.draw_position``), the
+        the draws of ``agent.invent``, ``agent.adopt_if_fitter``,
+        ``agent.imitate`` and ``agent.adopt``, in their order: the create
+        draw, then either the flip-and-draw loop of
+        ``agent.mutate_subaction``, written out with the same text, the
         collision and no-op rules, ``agent.extend_chain`` when chaining,
         the incremental int score and adoption if strictly fitter; or one
         draw for the order of the neighbour scan, which takes the first
@@ -483,9 +481,9 @@ class World:
         intern = interned.setdefault
         # Looked up once per step, so a patched or traced kernel installed
         # before the step still sees every call the step makes.
-        draw_position = agent_ops.draw_position
         extend_chain = agent_ops.extend_chain
-        flip = FLIP_PROBABILITY
+        flip, tries = FLIP_PROBABILITY, range(_MAX_DRAW_TRIES)
+        parts, partners = _PARTS, _PARTNERS
         acceptable = ACCEPTABLE_SUBACTIONS
         orders = _PERMUTATIONS_4
         adopters = []
@@ -499,35 +497,36 @@ class World:
                 chain = a.chain
                 base = chain[-1]
                 movement_bias, symmetry_bias = a.net.invention_bias()
-                head, l_arm, r_arm, l_leg, r_leg, hips = base
-                changed = False
-                if random_() < flip:
-                    head = draw_position(head, 0, movement_bias, symmetry_bias, rng)
-                    changed = True
-                if random_() < flip:
-                    l_arm = draw_position(l_arm, r_arm, movement_bias, symmetry_bias, rng)
-                    changed = True
-                if random_() < flip:
-                    r_arm = draw_position(r_arm, base[1], movement_bias, symmetry_bias, rng)
-                    changed = True
-                if random_() < flip:
-                    l_leg = draw_position(l_leg, r_leg, movement_bias, symmetry_bias, rng)
-                    changed = True
-                if random_() < flip:
-                    r_leg = draw_position(r_leg, base[3], movement_bias, symmetry_bias, rng)
-                    changed = True
-                if random_() < flip:
-                    hips = draw_position(hips, 0, movement_bias, symmetry_bias, rng)
-                    changed = True
-                if changed:
-                    new_final = (head, l_arm, r_arm, l_leg, r_leg, hips)
+                flipped = None
+                for i in parts:
+                    if random_() < flip:
+                        if flipped is None:
+                            flipped = list(base)
+                            p_active = (1.0 + 2.0 * movement_bias) / 3.0
+                        current, j = base[i], partners[i]
+                        partner = 0 if j is None else base[j]
+                        for _ in tries:
+                            if random_() >= p_active:
+                                value = 0
+                            elif partner != 0:
+                                value = partner if random_() < symmetry_bias else -partner
+                            else:
+                                value = 1 if random_() < 0.5 else -1
+                            if value != current:
+                                break
+                        else:
+                            # Biases pinned an impossible draw.
+                            value = rng.choice([v for v in (-1, 0, 1) if v != current])
+                        flipped[i] = value
+                if flipped is None:
+                    new_final, fit = base, a.fitness
+                else:
+                    new_final = tuple(flipped)
                     if len(chain) > 1 and new_final == chain[-2]:
                         continue  # collided with the step before
                     # Only the final step changed.  Scores are ints, so
                     # the sum is exact in any order.
                     fit = a.fitness - score(base) + score(new_final)
-                else:
-                    new_final, fit = base, a.fitness
                 steps = (new_final,)
                 if chaining_enabled and new_final in acceptable:
                     # Extended alone, with the room the kept steps leave,

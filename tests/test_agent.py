@@ -11,10 +11,10 @@ from culturesim.actions import all_subactions
 from culturesim.agent import (
     Agent,
     FLIP_PROBABILITY,
+    _MAX_DRAW_TRIES,
     _PERMUTATIONS_4,
     adopt,
     adopt_if_fitter,
-    draw_position,
     extend_chain,
     imitate,
     invent,
@@ -73,7 +73,20 @@ def test_mutation_changes_one_component_on_average():
     assert total_changes / n == pytest.approx(1.0, abs=0.03)
 
 
+def draws(base, movement_bias, symmetry_bias, rng, parts, n):
+    """The new positions of the first ``n`` changes that ``mutate_subaction``
+    makes to ``parts`` of ``base``, read from its outputs."""
+    values = []
+    while len(values) < n:
+        cand = mutate_subaction(base, movement_bias, symmetry_bias, rng)
+        values += [cand[i] for i in parts if cand[i] != base[i]]
+    return values[:n]
+
+
 def test_flipped_component_always_changes():
+    # mutate_subaction cannot show that a flipped part changes: a flip
+    # that kept its position would look like no flip.  So this property
+    # stays on the reference draw, which every-base lockstep ties to it.
     rng = random.Random(9)
     for current in (-1, 0, 1):
         for _ in range(500):
@@ -81,27 +94,29 @@ def test_flipped_component_always_changes():
 
 
 def test_movement_bias_one_never_draws_neutral():
+    # Head and hips at 1 have partner 0; the limbs at -1 have an active
+    # partner at 1.
     rng = random.Random(11)
-    for _ in range(2000):
-        assert draw_position(1, 0, 1.0, 0.5, rng) != 0
-        assert draw_position(-1, 1, 1.0, 0.9, rng) != 0
+    base = (1, -1, 1, -1, 1, 1)
+    assert 0 not in draws(base, 1.0, 0.5, rng, (0, 5), 2000)
+    assert 0 not in draws(base, 1.0, 0.9, rng, (1, 3), 2000)
 
 
 def test_movement_bias_half_is_uniform_over_remaining_positions():
+    # Head, left arm, left leg and hips are at 1 with partner 0.
     rng = random.Random(13)
     counts = {-1: 0, 0: 0}
     n = 30000
-    for _ in range(n):
-        counts[draw_position(1, 0, 0.5, 0.5, rng)] += 1
+    for value in draws((1, 1, 0, 1, 0, 1), 0.5, 0.5, rng, (0, 1, 3, 5), n):
+        counts[value] += 1
     assert counts[0] / n == pytest.approx(0.5, abs=0.02)
 
 
 def test_symmetry_bias_copies_active_partner_direction():
+    # The left arm and left leg are neutral, each with its partner at 1.
     rng = random.Random(17)
     n = 20000
-    copied = sum(
-        1 for _ in range(n) if draw_position(0, 1, 1.0, 0.8, rng) == 1
-    )
+    copied = draws((0, 0, 1, 0, 1, 0), 1.0, 0.8, rng, (1, 3), n).count(1)
     assert copied / n == pytest.approx(0.8, abs=0.02)
 
 
@@ -242,6 +257,31 @@ def test_adopt_skips_training_no_output_can_read(p_create, trend_learning):
 # agent's RNG in the same state, so every run draws the same numbers.
 
 
+def draw_position(
+    current: int, partner: int, movement_bias: float, symmetry_bias: float,
+    rng: random.Random,
+) -> int:
+    """Draw a new position for a flipped component, guaranteed != current.
+
+    Active-vs-neutral is biased by the MOVEMENT activation (uniform over
+    the three positions at bias 0.5, never neutral at bias 1).  When the
+    symmetric partner limb is active, its direction is copied with
+    probability equal to the SYMMETRY activation.
+    """
+    p_active = (1.0 + 2.0 * movement_bias) / 3.0
+    for _ in range(_MAX_DRAW_TRIES):
+        if rng.random() >= p_active:
+            value = 0
+        elif partner != 0:
+            value = partner if rng.random() < symmetry_bias else -partner
+        else:
+            value = 1 if rng.random() < 0.5 else -1
+        if value != current:
+            return value
+    # Biases pinned an impossible draw; fall back to uniform over the rest.
+    return rng.choice([v for v in (-1, 0, 1) if v != current])
+
+
 def reference_mutate_subaction(base, movement_bias, symmetry_bias, rng):
     parts = list(base)
     changed = False
@@ -293,7 +333,7 @@ def reference_imitate(agent, neighbors):
 
 
 class CountingRandom(random.Random):
-    """Counts ``choice`` calls: ``draw_position`` makes one only in its
+    """Counts ``choice`` calls: the flip-and-draw rule makes one only in its
     fallback, after 16 draws that all equal the current position."""
 
     fallbacks = 0
@@ -303,12 +343,27 @@ class CountingRandom(random.Random):
         return super().choice(seq)
 
 
+class PinnedNet:
+    """A network whose invention bias is pinned: training changes nothing."""
+
+    trend_learning = True
+
+    def __init__(self, bias):
+        self.bias = bias
+
+    def invention_bias(self):
+        return self.bias
+
+    def train(self, step):
+        pass
+
+
 # (1, 1) pins every flipped limb whose partner equals it onto its own
-# position, so draw_position's fallback fires there.
+# position, so the fallback fires there.
 BIAS_GRID = [(0.0, 0.0), (0.5, 0.5), (0.2, 0.9), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]
 
 
-def test_unrolled_mutation_matches_the_loop_form_on_every_base():
+def test_mutation_matches_the_draw_position_form_on_every_base():
     for movement_bias, symmetry_bias in BIAS_GRID:
         rng, ref_rng = CountingRandom(61), CountingRandom(61)
         for base in all_subactions():

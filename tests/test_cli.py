@@ -203,6 +203,62 @@ def test_analyze_prints_nothing_before_a_bad_rate(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "rows, bad_file, message",
+    [
+        ("1", "series", "line 2: mean_fitness must be a finite number, got nothing"),
+        ("1", "baseline", "line 2: mean_fitness must be a finite number, got nothing"),
+        ("1,nan", "series", "line 2: mean_fitness must be a finite number, got 'nan'"),
+        ("1,2.0\n2,-inf", "baseline",
+         "line 3: mean_fitness must be a finite number, got '-inf'"),
+        ("1,x", "series", "line 2: mean_fitness must be a finite number, got 'x'"),
+    ],
+    ids=["short_row", "short_baseline_row", "nan", "baseline_infinity", "not_a_number"],
+)
+def test_analyze_names_the_file_and_line_of_a_bad_row(
+    tmp_path, capsys, rows, bad_file, message
+):
+    good = tmp_path / "good.csv"
+    good.write_text("iter,mean_fitness\n1,2.0\n")
+    bad = tmp_path / "bad.csv"
+    bad.write_text("iter,mean_fitness\n" + rows + "\n")
+    series, baseline = (bad, good) if bad_file == "series" else (good, bad)
+    assert main([
+        "analyze", str(series), "--tau", "3", "--rate", "0.9", "--baseline", str(baseline),
+    ]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {bad} {message}\n"
+
+
+@pytest.mark.parametrize("rate", ["inf", "-inf", "nan"])
+def test_analyze_names_a_non_finite_rate_as_given(tmp_path, capsys, rate):
+    # An infinite interest percentage converts to a factor of 0.0, which
+    # the message used to name instead.
+    series = tmp_path / "series.csv"
+    series.write_text("iter,mean_fitness\n1,2.0\n2,4.0\n")
+    assert main(["analyze", str(series), "--tau", "3", f"--rate={rate}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: rate must be finite, got {rate}\n"
+
+
+def test_an_unusable_output_dir_fails_before_any_run(tmp_path, capsys, monkeypatch):
+    worlds = []
+    monkeypatch.setattr(world_mod.World, "__init__", lambda self, *a: worlds.append(a))
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({
+        "runs_per_cell": 3, "output_dir": str(blocker / "out"),
+        "world": {"lattice_side": 4, "iterations": 3},
+    }))
+    assert main(["run", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert worlds == []
+
+
+@pytest.mark.parametrize(
     "preset, world, message",
     [
         # Used to run fixed roles at tau = 35.1 and echo the overrides.

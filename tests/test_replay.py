@@ -32,7 +32,7 @@ from culturesim.world import (
     replay_key,
     run_world,
 )
-from test_agent import BIAS_GRID, CountingRandom
+from test_agent import BIAS_GRID, CountingRandom, PinnedNet
 
 
 def neutral_best_templates(tmp_path):
@@ -241,21 +241,6 @@ def test_a_bundle_computes_each_creator_once(order, monkeypatch):
     assert len(others) == 4 and all(any(p > 0.0 for p in ps) for ps in others)
 
 
-class PinnedNet:
-    """A network whose invention bias is pinned: training changes nothing."""
-
-    trend_learning = True
-
-    def __init__(self, bias):
-        self.bias = bias
-
-    def invention_bias(self):
-        return self.bias
-
-    def train(self, step):
-        pass
-
-
 def plain_creator_adoptions(agent, cfg, score, top):
     """``creator_adoptions`` as the reference kernels run it: the create
     draw, ``invent``, and ``adopt_if_fitter`` unless the candidate is the
@@ -305,5 +290,5 @@ def test_the_creator_kernel_invents_and_adopts_as_the_reference_kernels(regime, 
             assert ours.rng.fallbacks == theirs.rng.fallbacks
             fallbacks += ours.rng.fallbacks
         if bias == (1.0, 1.0):
-            # The written-out fallback of draw_position ran.
+            # The kernel's written-out fallback ran.
             assert fallbacks > 0

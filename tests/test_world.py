@@ -27,6 +27,7 @@ from culturesim.world import (
     neighbor_table,
     run_world,
 )
+from test_agent import BIAS_GRID, CountingRandom, PinnedNet
 
 
 def small(**kw):
@@ -346,6 +347,29 @@ def test_skipping_absorbed_agents_matches_the_reference_step(kw, run_index):
         assert len(world.active) == cfg.n_agents
     else:
         assert skipped_at is not None and skipped_at < cfg.iterations
+
+
+@pytest.mark.parametrize("bias", BIAS_GRID, ids=str)
+def test_the_step_draws_as_the_reference_step_under_a_pinned_bias(bias):
+    # A real network seldom pins a draw: the agents whose bias could are
+    # mostly absorbed by then.  A pinned bias runs every branch of the
+    # step's flip-and-draw loop, its fallback included.
+    cfg = WorldConfig(lattice_side=6, iterations=60, creator_fraction=0.5,
+                      creator_creativity=0.8)
+    world, ref = World(cfg, 0), World(cfg, 0)
+    for a in world.agents + ref.agents:
+        rng = CountingRandom()
+        rng.setstate(a.rng.getstate())
+        a.rng, a.net = rng, PinnedNet(bias)
+    for _ in range(cfg.iterations):
+        world.step()
+        reference_step(ref)
+        assert world.series == ref.series
+        assert [(a.chain, a.fitness) for a in world.agents] == [
+            (a.chain, a.fitness) for a in ref.agents
+        ]
+    if bias == (1.0, 1.0):
+        assert sum(a.rng.fallbacks for a in world.agents) > 0
 
 
 # The agent kernels the benchmark's tracer wraps from outside the package
