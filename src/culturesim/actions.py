@@ -2,11 +2,21 @@
 
 Everything here is an immutable value (tuples of small ints), so these
 objects can be shared freely between agents, processes, and caches.
+
+Each of the 3^6 = 729 sub-actions has a code: the base-3 number whose
+digits are its positions plus one, the head most significant, so
+``code = sum((v + 1) * 3 ** (5 - i))``.  That is its index in
+``all_subactions()``.  ``SUBACTIONS`` holds the one canonical tuple of
+each code, in code order, ``CODES`` maps a tuple to its code, and
+``PLACES`` holds the weight of each part's digit: changing part ``i``
+from ``v`` to ``w`` moves the code by ``(w - v) * PLACES[i]``.  These
+tables are built once per process, at import.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from itertools import product
+from typing import Dict, Iterator, Optional, Tuple
 
 SubAction = Tuple[int, int, int, int, int, int]
 ActionChain = Tuple[SubAction, ...]
@@ -20,6 +30,12 @@ NUM_PARTS = 6
 POSITIONS = (-1, 0, 1)
 
 NEUTRAL: SubAction = (0, 0, 0, 0, 0, 0)
+
+# The weight of each part's digit in a code.
+PLACES = (243, 81, 27, 9, 3, 1)
+# Every sub-action in code order, and the code of each.
+SUBACTIONS: Tuple[SubAction, ...] = tuple(product(POSITIONS, repeat=NUM_PARTS))
+CODES: Dict[SubAction, int] = {sub: code for code, sub in enumerate(SUBACTIONS)}
 
 
 class ActionFormatError(ValueError):
@@ -67,8 +83,7 @@ def parse_template(text: str) -> Template:
     return template
 
 
-def all_subactions():
-    """Yield all 3^6 = 729 sub-actions in lexicographic order."""
-    from itertools import product
-
-    yield from product(POSITIONS, repeat=NUM_PARTS)
+def all_subactions() -> Iterator[SubAction]:
+    """An iterator over all 3^6 = 729 sub-actions in lexicographic order,
+    which is code order."""
+    return iter(SUBACTIONS)

@@ -1,7 +1,9 @@
 """One agent's per-iteration behavior: biased invention, chain extension,
 lazy imitation, and the social-regulation update of the personal creation
 probability.  ``mutate_subaction`` is the one written form of invention's
-flip-and-draw rule.  ``World.step`` writes out each agent's turn (the
+flip-and-draw rule.  It moves the sub-action's code (see ``actions``)
+instead of copying its parts, and returns the canonical tuple of the new
+code from ``SUBACTIONS``.  ``World.step`` writes out each agent's turn (the
 create-or-imitate draw, the ``mutate_subaction`` loop, ``invent``,
 ``adopt_if_fitter``, ``imitate`` and ``adopt``) in its own loop, and calls
 ``extend_chain`` and ``update_p_create`` from here.
@@ -16,7 +18,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence, Tuple, Union
 
-from .actions import ActionChain, SubAction
+from .actions import CODES, PLACES, SUBACTIONS, ActionChain, SubAction
 from .fitness import ACCEPTABLE_SUBACTIONS
 from .network import AutoAssociator, LastPattern
 
@@ -55,16 +57,20 @@ def mutate_subaction(
     that pin an impossible draw), the position is drawn uniformly from
     the other two.  With no flip, ``base`` itself is returned.
 
+    A flip moves the code by ``(value - current) * PLACES[i]``, and the
+    result is the canonical tuple of the new code, ``SUBACTIONS[new]``.
+    Each flip changes its part, so the code differs from ``base``'s as
+    soon as one part has flipped, and ``new == code`` means none has.
+
     This loop is the one written form of the flip-and-draw rule:
     ``World.step`` and ``world.creator_adoptions`` write it out inline,
     with the same text up to local aliases.
     """
     random_ = rng.random
-    flipped = None
+    new = code = CODES[base]
     for i in _PARTS:
         if random_() < FLIP_PROBABILITY:
-            if flipped is None:
-                flipped = list(base)
+            if new == code:
                 p_active = (1.0 + 2.0 * movement_bias) / 3.0
             current, j = base[i], _PARTNERS[i]
             partner = 0 if j is None else base[j]
@@ -80,8 +86,8 @@ def mutate_subaction(
             else:
                 # Biases pinned an impossible draw.
                 value = rng.choice([v for v in (-1, 0, 1) if v != current])
-            flipped[i] = value
-    return base if flipped is None else tuple(flipped)
+            new += (value - current) * PLACES[i]
+    return base if new == code else SUBACTIONS[new]
 
 
 def extend_chain(

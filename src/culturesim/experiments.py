@@ -48,6 +48,12 @@ DESK_TAU = 35.1
 
 WORKERS_ENV = "CULTURESIM_WORKERS"
 
+# Size limits of one sweep, over all the runs it executes.  Its series are
+# held in memory until they are written, at up to about 250 bytes per run
+# and iteration, and its cost grows with agents x iterations x runs.
+MAX_SWEEP_RUN_ITERATIONS = 10**6
+MAX_SWEEP_AGENT_STEPS = 10**10
+
 
 @dataclass(frozen=True)
 class ExperimentSpec:
@@ -81,6 +87,17 @@ class ExperimentSpec:
                     raise ConfigError(f"{name} values must be in [0, 1], got {v}")
         self.world.validate()
         w = self.world
+        runs = self.run_count()
+        if runs * w.iterations > MAX_SWEEP_RUN_ITERATIONS:
+            raise ConfigError(
+                f"the sweep is too large: {runs:,} runs x {w.iterations:,} iterations"
+                f" exceed the limit of {MAX_SWEEP_RUN_ITERATIONS:,}"
+            )
+        if runs * w.iterations * w.n_agents > MAX_SWEEP_AGENT_STEPS:
+            raise ConfigError(
+                f"the sweep is too large: {runs:,} runs x {w.iterations:,} iterations"
+                f" x {w.n_agents:,} agents exceed the limit of {MAX_SWEEP_AGENT_STEPS:,}"
+            )
         if w.template_file:
             # Fail here, before any run starts, not inside every worker.
             try:
@@ -92,6 +109,19 @@ class ExperimentSpec:
             except ValueError as exc:
                 raise ConfigError(f"template_file is invalid: {exc}") from None
         return self
+
+    def run_count(self) -> int:
+        """The number of runs ``execute`` makes: every cell of the grid and
+        the (1, 1) baseline under exp1, both arms under exp2 and exp3, one
+        cell otherwise; each ``runs_per_cell`` times."""
+        if self.preset == PRESET_EXP1:
+            cells = len(self.grid_c) * len(self.grid_p)
+            cells += not (1.0 in self.grid_c and 1.0 in self.grid_p)
+        elif self.preset in (PRESET_EXP2, PRESET_EXP3):
+            cells = 2
+        else:
+            cells = 1
+        return cells * self.runs_per_cell
 
     def digest(self) -> str:
         """Digest of the scientific content; output location is excluded."""

@@ -9,9 +9,14 @@ Two regimes are supported:
   step by step, making the output space open-ended.
 
 Either way a step's score is a pure function of the sub-action, kept in
-a ``ScoreTable``: one per process for single-step fitness, one per
-``TemplateSet``.  A chain scores the sum of its steps' table entries;
-the scores are ints, so the sum is exact on every Python version.
+a ``ScoreTable`` of the 729 scores by code (see ``actions``), filled
+once when it is built: one per process for single-step fitness, one per
+``TemplateSet``.  Acceptability is a pure function too, kept by code in
+``ACCEPTABLE_BY_CODE``.  The kernels that mutate a step move its code
+and index these tables with it; the tuple API (``scores[sub]``,
+``fitness_chain``) reads them through ``CODES``.  A chain scores the sum
+of its steps' entries; the scores are ints, so the sum is exact on every
+Python version.
 """
 
 from __future__ import annotations
@@ -21,14 +26,16 @@ import hashlib
 import json
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Dict, FrozenSet, Iterable, Optional
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .actions import (
+    CODES,
+    PLACES,
+    SUBACTIONS,
     ActionChain,
     ActionFormatError,
     SubAction,
     Template,
-    all_subactions,
     parse_template,
 )
 
@@ -39,6 +46,8 @@ ACCEPTABLE_SUBACTIONS: FrozenSet[SubAction] = frozenset((
     (0, -1, 1, -1, 1, 1),
     (0, -1, 1, -1, 1, -1),
 ))
+# Whether each sub-action is acceptable, by code.
+ACCEPTABLE_BY_CODE: Tuple[bool, ...] = tuple(s in ACCEPTABLE_SUBACTIONS for s in SUBACTIONS)
 
 # Indices of the parts single-step fitness reads (see ``actions``).
 _HD, _LA, _RA, _LL, _RL = 0, 1, 2, 3, 4
@@ -62,56 +71,65 @@ def fitness_single(sub: SubAction) -> int:
     return m + 2 * m_u + 10 * m_h + 5 * (s_a + s_l) + 2 * (p_a + p_l)
 
 
-class ScoreTable(dict):
-    """Sub-action -> score of a pure scoring function.  A sub-action is
-    scored on its first lookup and stored, so the table fills lazily: a
-    run meets far fewer than the 729 sub-actions."""
+class ScoreTable:
+    """The scores of the 729 sub-actions, filled when the table is built.
+    ``by_code`` is the tuple of scores in code order, which the mutation
+    kernels index; ``table[sub]`` reads it through the sub-action's code."""
 
-    def __init__(self, score: Callable[[SubAction], int]):
-        super().__init__()
-        self.score = score
-        self._best = None
+    __slots__ = ("by_code", "_best")
 
-    def __missing__(self, sub: SubAction) -> int:
-        value = self[sub] = self.score(sub)
-        return value
+    def __init__(self, scores: Iterable[int]):
+        self.by_code: Tuple[int, ...] = tuple(scores)
+        self._best = max(self.by_code)
+
+    def __getitem__(self, sub: SubAction) -> int:
+        return self.by_code[CODES[sub]]
 
     def best(self) -> int:
-        """The best score over all 729 sub-actions, computed once per table."""
-        if self._best is None:
-            self._best = max(self[s] for s in all_subactions())
+        """The best score over all 729 sub-actions."""
         return self._best
 
+    def chain_sum(self, chain: ActionChain) -> int:
+        """The summed score of a chain's steps.  Without chaining every
+        chain has one step, where this loop is cheaper than setting up
+        ``sum(map(...))``."""
+        by_code, codes = self.by_code, CODES
+        total = 0
+        for step in chain:
+            total += by_code[codes[step]]
+        return total
 
-SINGLE_STEP_SCORES = ScoreTable(fitness_single)
-_single_step_score = SINGLE_STEP_SCORES.__getitem__
+
+SINGLE_STEP_SCORES = ScoreTable(map(fitness_single, SUBACTIONS))
+fitness_single_chain = SINGLE_STEP_SCORES.chain_sum
 
 
 def max_fitness_single() -> int:
     return SINGLE_STEP_SCORES.best()
 
 
-def fitness_single_chain(chain: ActionChain) -> int:
-    """Single-step fitness summed over a chain's steps.  Without chaining
-    every chain has one step, where this loop is cheaper than setting up
-    ``sum(map(...))``."""
-    total = 0
-    for step in chain:
-        total += _single_step_score(step)
-    return total
-
-
-def template_weight(template: Template, sub: SubAction) -> int:
-    """1 if every specified template component equals the sub-action's."""
-    for t, d in zip(template, sub):
-        if t is not None and t != d:
-            return 0
-    return 1
-
-
 def template_order(template: Template) -> int:
     """Number of specified (non-wildcard) components."""
     return sum(1 for t in template if t is not None)
+
+
+def template_scores(templates: Sequence[Template]) -> List[int]:
+    """Each sub-action's summed order of the templates it matches, by code.
+
+    A template's matches are listed, not searched for: a specified part
+    fixes its digit of the code, and a wildcard takes all three, so each
+    template adds its order at the codes of its matches and nowhere else.
+    """
+    totals = [0] * len(SUBACTIONS)
+    for template in templates:
+        order = template_order(template)
+        matches = [0]
+        for t, place in zip(template, PLACES):
+            digits = (0, place, 2 * place) if t is None else ((t + 1) * place,)
+            matches = [code + d for code in matches for d in digits]
+        for code in matches:
+            totals[code] += order
+    return totals
 
 
 class TemplateSet:
@@ -121,8 +139,7 @@ class TemplateSet:
         self.templates = tuple(templates)
         if not self.templates:
             raise ValueError("template set is empty")
-        self._orders = tuple(template_order(t) for t in self.templates)
-        self.scores = ScoreTable(self._score)
+        self.scores = ScoreTable(template_scores(self.templates))
         # The sha256 of the file contents the set was parsed from, if any.
         self.sha256: Optional[str] = None
 
@@ -130,8 +147,7 @@ class TemplateSet:
     def from_file(cls, path) -> "TemplateSet":
         """The set a JSON array of template strings defines.  It is parsed
         once per process for each distinct file contents (keyed by their
-        sha256, kept as ``sha256``), and then shared with its score table,
-        which fills once."""
+        sha256, kept as ``sha256``), and then shared with its score table."""
         path = Path(path)
         data = path.read_bytes()
         key = hashlib.sha256(data).hexdigest()
@@ -165,19 +181,12 @@ class TemplateSet:
         ) as path:
             return cls.from_file(path)
 
-    def _score(self, sub: SubAction) -> int:
-        total = 0
-        for template, order in zip(self.templates, self._orders):
-            if template_weight(template, sub):
-                total += order
-        return total
-
     def fitness_subaction(self, sub: SubAction) -> int:
         """Summed order of every matching template."""
         return self.scores[sub]
 
     def fitness_chain(self, chain: ActionChain) -> int:
-        return sum(map(self.scores.__getitem__, chain))
+        return self.scores.chain_sum(chain)
 
 
 # sha256 of a template file's contents -> the set they define.

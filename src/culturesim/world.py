@@ -11,16 +11,16 @@ import math
 import random
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import agent as agent_ops
-from .actions import ActionChain, NEUTRAL, SubAction
+from .actions import CODES, NEUTRAL, PLACES, SUBACTIONS, ActionChain
 from .agent import (
     _MAX_DRAW_TRIES, _PARTNERS, _PARTS, _PERMUTATIONS_4, FLIP_PROBABILITY, Agent,
 )
 from .analysis import RunSeries, p_create_histogram
 from .fitness import (
-    ACCEPTABLE_SUBACTIONS,
+    ACCEPTABLE_BY_CODE,
     SINGLE_STEP_SCORES,
     TemplateSet,
     fitness_single_chain,
@@ -33,6 +33,12 @@ REGIME_SINGLE_STEP = "single_step"
 REGIME_TEMPLATE = "template"
 
 INITIAL_P_CREATE = 0.5
+
+# Size limits of one run: at most 256 x 256 = 65,536 agents, each with its
+# own RNG and network, and a horizon of a million iterations, whose
+# series a run holds in memory.
+MAX_LATTICE_SIDE = 256
+MAX_ITERATIONS = 1_000_000
 
 
 class ConfigError(ValueError):
@@ -102,10 +108,14 @@ class WorldConfig:
 
     def validate(self) -> "WorldConfig":
         check_field_types(self)
-        if self.lattice_side < 2:
-            raise ConfigError(f"lattice_side must be >= 2, got {self.lattice_side}")
-        if self.iterations < 1:
-            raise ConfigError(f"iterations must be >= 1, got {self.iterations}")
+        if not 2 <= self.lattice_side <= MAX_LATTICE_SIDE:
+            raise ConfigError(
+                f"lattice_side must be in [2, {MAX_LATTICE_SIDE}], got {self.lattice_side}"
+            )
+        if not 1 <= self.iterations <= MAX_ITERATIONS:
+            raise ConfigError(
+                f"iterations must be in [1, {MAX_ITERATIONS:,}], got {self.iterations}"
+            )
         if self.mode not in (MODE_FIXED_ROLES, MODE_SHARED_P):
             raise ConfigError(f"mode must be fixed_roles or shared_p, got {self.mode!r}")
         if self.sr_enabled and self.mode == MODE_FIXED_ROLES:
@@ -205,8 +215,7 @@ def creator_log_scope():
 
 
 def creator_adoptions(
-    agent: Agent, cfg: WorldConfig, score: Callable[[SubAction], float],
-    top: Optional[float],
+    agent: Agent, cfg: WorldConfig, scores: Sequence[int], top: Optional[float],
 ) -> list:
     """The adoptions of a fixed-role creator of creativity 1, run alone
     through every iteration, as flat ``[iteration, chain, fitness, ...]``.
@@ -217,22 +226,26 @@ def creator_adoptions(
     create draw, the flip-and-draw loop of ``agent.mutate_subaction``, the
     collision rule, the score of the new final step, ``agent.extend_chain``
     when chaining, strict adoption, and training on adoption under trend
-    learning.  So an iteration that adopts nothing calls only the RNG's
-    methods, ``score`` and builtins, and builds no candidate chain.  The
-    bias changes only when the network trains, so it is read again only
-    then.  The loop stops once the creator reaches ``top``, the absorbing
-    fitness, as ``step`` stops moving it.  ``agent`` starts in the world's
-    initial state with its own RNG and network, which nothing reads once
-    this returns.
+    learning.  ``scores`` is the world's score table by code
+    (``ScoreTable.by_code``).  The code of the final step is kept beside
+    the chain, so an iteration that appends no step moves and indexes
+    codes and hashes nothing; one that adopts nothing calls only the RNG's
+    methods and builtins, and builds no candidate chain.  The bias changes only when the network
+    trains, so it is read again only then.  The loop stops once the
+    creator reaches ``top``, the absorbing fitness, as ``step`` stops
+    moving it.  ``agent`` starts in the world's initial state with its own
+    RNG and network, which nothing reads once this returns.
     """
     extend_chain = agent_ops.extend_chain
     chaining_enabled, max_chain_length = cfg.chaining_enabled, cfg.max_chain_length
     rng, net = agent.rng, agent.net
     random_ = rng.random
     flip, tries = FLIP_PROBABILITY, range(_MAX_DRAW_TRIES)
-    parts, partners = _PARTS, _PARTNERS
-    acceptable = ACCEPTABLE_SUBACTIONS
+    parts, partners, place = _PARTS, _PARTNERS, PLACES
+    codes, subactions, acceptable = CODES, SUBACTIONS, ACCEPTABLE_BY_CODE
     chain, fitness = agent.chain, agent.fitness
+    base = chain[-1]
+    code = codes[base]
     train = net.train if net.trend_learning else None
     movement_bias, symmetry_bias = net.invention_bias()
     events: list = []
@@ -240,12 +253,10 @@ def creator_adoptions(
         random_()  # the create draw, which p = 1 always passes
         # Mutate the final step: each part flips with probability 1/6, and
         # a flipped limb copies its partner as it stands in the old step.
-        base = chain[-1]
-        flipped = None
+        new = code
         for i in parts:
             if random_() < flip:
-                if flipped is None:
-                    flipped = list(base)
+                if new == code:
                     p_active = (1.0 + 2.0 * movement_bias) / 3.0
                 current, j = base[i], partners[i]
                 partner = 0 if j is None else base[j]
@@ -261,29 +272,31 @@ def creator_adoptions(
                 else:
                     # Biases pinned an impossible draw.
                     value = rng.choice([v for v in (-1, 0, 1) if v != current])
-                flipped[i] = value
-        if flipped is None:
+                new += (value - current) * place[i]
+        if new == code:
             new_final, fit = base, fitness
         else:
-            new_final = tuple(flipped)
+            new_final = subactions[new]
             if len(chain) > 1 and new_final == chain[-2]:
                 continue  # collided with the step before
             # Only the final step changed; scores are ints.
-            fit = fitness - score(base) + score(new_final)
+            fit = fitness - scores[code] + scores[new]
         steps = (new_final,)
-        if chaining_enabled and new_final in acceptable:
+        if chaining_enabled and acceptable[new]:
             steps = extend_chain(
                 steps, max_chain_length - len(chain) + 1,
                 movement_bias, symmetry_bias, rng,
             )
             for step in steps[1:]:
-                fit += score(step)
+                new = codes[step]
+                fit += scores[new]
         # Nothing changed (fit is the creator's own) or not fitter.
         if fit <= fitness:
             continue
         chain, fitness = chain[:-1] + steps, fit
+        base, code = chain[-1], new
         if train is not None:
-            train(chain[-1])
+            train(base)
             movement_bias, symmetry_bias = net.invention_bias()
         events += (t, chain, fit)
         if top is not None and fit >= top:
@@ -330,8 +343,8 @@ class World:
             self.evaluate = fitness_single_chain
             scores = SINGLE_STEP_SCORES
         # A chain's fitness is the sum of its steps' scores; step() scores
-        # only the steps an invention changes.
-        self.score: Callable[[SubAction], float] = scores.__getitem__
+        # only the steps an invention changes, by their codes.
+        self.scores: Sequence[int] = scores.by_code
 
         # Without chaining every chain is a single step, so no agent can
         # score above the best single step.  Once every agent scores it,
@@ -385,7 +398,7 @@ class World:
             rng = Random(seed)
             creator = Agent(i, 1.0, initial_chain, initial_fitness,
                             net_class(rng, trend_learning), rng)
-            events = creator_adoptions(creator, cfg, self.score, top)
+            events = creator_adoptions(creator, cfg, self.scores, top)
             events[1::3] = [chains.setdefault(c, c) for c in events[1::3]]
             log[i] = events
 
@@ -454,6 +467,13 @@ class World:
         the new final step alone, with the room the whole chain has left,
         so a candidate chain is built only when it is adopted.
 
+        The loop moves the final step's code (one ``CODES`` lookup per
+        invention) instead of copying its parts.  The new step is the
+        canonical ``SUBACTIONS[new]``, and the score and acceptability of
+        both steps are read from ``self.scores`` and ``ACCEPTABLE_BY_CODE``
+        by code, so an invention that appends no step and is not adopted
+        builds no tuple and hashes nothing but that lookup.
+
         A replayed creator does not act: its logged adoption of this
         iteration, if any, is applied as the agent's own would have been.
 
@@ -476,15 +496,15 @@ class World:
         trend_learning = cfg.trend_learning
         snapshot = self.snapshot
         neighbors = self.neighbors
-        score = self.score
+        scores = self.scores
         interned = self.interned
         intern = interned.setdefault
         # Looked up once per step, so a patched or traced kernel installed
         # before the step still sees every call the step makes.
         extend_chain = agent_ops.extend_chain
         flip, tries = FLIP_PROBABILITY, range(_MAX_DRAW_TRIES)
-        parts, partners = _PARTS, _PARTNERS
-        acceptable = ACCEPTABLE_SUBACTIONS
+        parts, partners, place = _PARTS, _PARTNERS, PLACES
+        codes, subactions, acceptable = CODES, SUBACTIONS, ACCEPTABLE_BY_CODE
         orders = _PERMUTATIONS_4
         adopters = []
         for a in self.active:
@@ -496,12 +516,12 @@ class World:
                 # the old step.
                 chain = a.chain
                 base = chain[-1]
+                code = codes[base]
                 movement_bias, symmetry_bias = a.net.invention_bias()
-                flipped = None
+                new = code
                 for i in parts:
                     if random_() < flip:
-                        if flipped is None:
-                            flipped = list(base)
+                        if new == code:
                             p_active = (1.0 + 2.0 * movement_bias) / 3.0
                         current, j = base[i], partners[i]
                         partner = 0 if j is None else base[j]
@@ -517,18 +537,18 @@ class World:
                         else:
                             # Biases pinned an impossible draw.
                             value = rng.choice([v for v in (-1, 0, 1) if v != current])
-                        flipped[i] = value
-                if flipped is None:
+                        new += (value - current) * place[i]
+                if new == code:
                     new_final, fit = base, a.fitness
                 else:
-                    new_final = tuple(flipped)
+                    new_final = subactions[new]
                     if len(chain) > 1 and new_final == chain[-2]:
                         continue  # collided with the step before
                     # Only the final step changed.  Scores are ints, so
                     # the sum is exact in any order.
-                    fit = a.fitness - score(base) + score(new_final)
+                    fit = a.fitness - scores[code] + scores[new]
                 steps = (new_final,)
-                if chaining_enabled and new_final in acceptable:
+                if chaining_enabled and acceptable[new]:
                     # Extended alone, with the room the kept steps leave,
                     # it appends what the whole candidate would.
                     steps = extend_chain(
@@ -536,7 +556,8 @@ class World:
                         movement_bias, symmetry_bias, rng,
                     )
                     for step in steps[1:]:
-                        fit += score(step)
+                        new = codes[step]
+                        fit += scores[new]
                 # Nothing changed (fit is the agent's own) or not fitter.
                 if fit <= a.fitness:
                     continue

@@ -3,6 +3,9 @@
 import pytest
 
 from culturesim.actions import (
+    CODES,
+    PLACES,
+    SUBACTIONS,
     ActionFormatError,
     NEUTRAL,
     all_subactions,
@@ -53,3 +56,13 @@ def test_parse_template_rejects_wrong_length():
 
 def test_neutral_constant():
     assert NEUTRAL == (0,) * 6
+
+
+def test_subactions_are_all_subactions_in_code_order():
+    assert SUBACTIONS == tuple(all_subactions())
+    assert PLACES == tuple(3 ** (5 - i) for i in range(6))
+    assert len(CODES) == 729
+    for code, sub in enumerate(SUBACTIONS):
+        assert code == sum((v + 1) * 3 ** (5 - i) for i, v in enumerate(sub))
+        assert CODES[sub] == code and SUBACTIONS[CODES[sub]] is sub
+    assert SUBACTIONS[CODES[NEUTRAL]] == NEUTRAL

@@ -7,7 +7,7 @@ import struct
 
 import pytest
 
-from culturesim.actions import all_subactions
+from culturesim.actions import CODES, SUBACTIONS, all_subactions
 from culturesim.agent import (
     Agent,
     FLIP_PROBABILITY,
@@ -377,6 +377,23 @@ def test_mutation_matches_the_draw_position_form_on_every_base():
         assert rng.fallbacks == ref_rng.fallbacks
         if (movement_bias, symmetry_bias) == (1.0, 1.0):
             assert rng.fallbacks > 0
+
+
+def test_mutation_returns_base_itself_or_the_tables_subaction():
+    rng = random.Random(83)
+    flipped = kept = 0
+    for base in all_subactions():
+        # An equal tuple that is not the table's object.
+        copy = tuple(list(base))
+        for _ in range(4):
+            got = mutate_subaction(copy, 0.5, 0.5, rng)
+            if got == copy:
+                assert got is copy
+                kept += 1
+            else:
+                assert got is SUBACTIONS[CODES[got]]
+                flipped += 1
+    assert kept > 0 and flipped > 0
 
 
 def random_chain(rng, length):

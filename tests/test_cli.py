@@ -373,3 +373,33 @@ def test_run_command_rejects_a_spec_whose_world_breaks_its_preset(tmp_path, caps
     )
     assert worlds == []
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "args, world, message",
+    [
+        (["exp1", "--runs", str(10**9)], None,
+         "error: the sweep is too large: 25,000,000,000 runs x 100 iterations"
+         " exceed the limit of 1,000,000\n"),
+        (["run"], {"lattice_side": 10**6},
+         "error: lattice_side must be in [2, 256], got 1000000\n"),
+        (["run"], {"iterations": 10**15},
+         "error: iterations must be in [1, 1,000,000], got 1000000000000000\n"),
+    ],
+    ids=["exp1_runs", "run_lattice_side", "run_iterations"],
+)
+def test_a_huge_size_is_one_error_line_before_any_world(
+    tmp_path, capsys, monkeypatch, args, world, message
+):
+    monkeypatch.setattr(world_mod.World, "__init__", None)
+    out = tmp_path / "out"
+    if world is not None:
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"output_dir": str(out), "world": world}))
+        args = args + [str(config)]
+    else:
+        args = args + ["--out", str(out)]
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", message)
+    assert not out.exists()

@@ -423,3 +423,58 @@ def test_a_run_reads_its_template_file_once(tmp_path, monkeypatch):
         "ad805952645f6cfae203ca3b226342e3a5bd3ccbe38b1dcf3371d23a0b603542")
     assert hashlib.sha256((tmp_path / "out" / "series.csv").read_bytes()).hexdigest() == (
         "c015114a42740458ec6daba7d34583274a62bef72fe821e4608f481e1ae852ff")
+
+
+@pytest.mark.parametrize(
+    "spec, runs",
+    [
+        (ExperimentSpec(preset=PRESET_EXP1, grid_c=(0.2, 1.0), grid_p=(1.0,),
+                        runs_per_cell=3), 6),
+        (ExperimentSpec(preset=PRESET_EXP1, grid_c=(0.2, 0.4), grid_p=(0.5,),
+                        runs_per_cell=3), 9),
+        (preset_spec("exp2_sr", runs=4), 8),
+        (ExperimentSpec(runs_per_cell=5), 5),
+    ],
+    ids=["exp1_with_corner", "exp1_outside_baseline", "exp2", "custom"],
+)
+def test_run_count_is_the_number_of_runs_execute_makes(spec, runs, monkeypatch, tmp_path):
+    jobs = []
+    monkeypatch.setattr(experiments, "run_jobs",
+                        lambda js, workers: jobs.extend(js) or run_jobs(js, workers))
+    spec = replace(spec, world=replace(spec.world, lattice_side=4, iterations=2),
+                   output_dir=str(tmp_path / "out"))
+    execute(spec, workers=1)
+    assert spec.run_count() == len(jobs) == runs
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ({"runs_per_cell": 10**9}, "1,000,000,000 runs x 100 iterations exceed"),
+        ({"preset": "exp1_sweep", "runs_per_cell": 100,
+          "grid_c": [0.001 * k for k in range(1, 1001)], "grid_p": [1.0]},
+         "100,000 runs x 100 iterations exceed"),
+        ({"runs_per_cell": 1000, "world": {"lattice_side": 256, "iterations": 1000}},
+         "1,000 runs x 1,000 iterations x 65,536 agents exceed"),
+        ({"world": {"lattice_side": 10**6}}, "lattice_side must be in [2, 256]"),
+        ({"world": {"iterations": 10**12}}, "iterations must be in [1, 1,000,000]"),
+    ],
+    ids=["runs", "grid", "agent_steps", "lattice_side", "iterations"],
+)
+def test_sweep_sizes_are_bounded_before_any_world(payload, message, tmp_path, monkeypatch):
+    monkeypatch.setattr(world_module.World, "__init__", None)
+    with pytest.raises(ConfigError) as info:
+        load_config(write_config(tmp_path, payload))
+    assert message in str(info.value)
+
+
+def test_the_largest_sweeps_within_the_bounds_are_valid():
+    # Exactly at each limit, and one run over it.
+    small = WorldConfig(lattice_side=2, iterations=1)
+    ExperimentSpec(runs_per_cell=10**6, world=small).validate()
+    with pytest.raises(ConfigError, match="1,000,001 runs x 1 iterations exceed"):
+        ExperimentSpec(runs_per_cell=10**6 + 1, world=small).validate()
+    large = WorldConfig(lattice_side=200, iterations=1000)
+    ExperimentSpec(runs_per_cell=250, world=large).validate()
+    with pytest.raises(ConfigError, match="x 40,000 agents exceed"):
+        ExperimentSpec(runs_per_cell=251, world=large).validate()

@@ -4,10 +4,13 @@ The reference implementations below are deliberately written from the
 definitions, independent of the shapes used in culturesim.fitness.
 """
 
+import json
+
 import pytest
 
-from culturesim.actions import all_subactions, parse_template
+from culturesim.actions import CODES, SUBACTIONS, all_subactions, parse_template
 from culturesim.fitness import (
+    ACCEPTABLE_BY_CODE,
     ACCEPTABLE_SUBACTIONS,
     ScoreTable,
     SINGLE_STEP_SCORES,
@@ -16,8 +19,9 @@ from culturesim.fitness import (
     fitness_single_chain,
     max_fitness_single,
     template_order,
-    template_weight,
+    template_scores,
 )
+from test_replay import neutral_best_templates
 
 HD, LA, RA, LL, RL, HP = range(6)
 
@@ -68,12 +72,14 @@ def test_single_step_maximum_is_39_with_unique_argmax():
     assert best == [(0, 1, 1, 1, 1, 1)]
 
 
-def test_template_weight_examples():
-    t1 = parse_template("0*****")
-    assert template_weight(t1, (0, 0, 0, 0, 0, 0)) == 1
-    t = parse_template("*1-1**0")
-    assert template_weight(t, (0, 1, -1, 1, 1, 0)) == 1
-    assert template_weight(t, (0, -1, 1, 0, 0, 0)) == 0
+def test_template_scores_examples():
+    # A one-template set scores its order at each match and 0 elsewhere.
+    def score(text, sub):
+        return template_scores([parse_template(text)])[CODES[sub]]
+
+    assert score("0*****", (0, 0, 0, 0, 0, 0)) == 1
+    assert score("*1-1**0", (0, 1, -1, 1, 1, 0)) == 3
+    assert score("*1-1**0", (0, -1, 1, 0, 0, 0)) == 0
 
 
 def test_template_order_counts_specified_components():
@@ -152,19 +158,57 @@ def test_subaction_fitness_is_read_from_the_score_table():
     assert ts.fitness_subaction(sub) == reference_template_fitness(sub, ts.templates)
 
 
-def test_score_table_scores_each_subaction_once_on_first_lookup():
+def test_score_table_scores_each_subaction_once_at_construction():
     scored = []
 
     def score(sub):
         scored.append(sub)
         return fitness_single(sub)
 
-    table = ScoreTable(score)
-    assert len(table) == 0
+    table = ScoreTable(map(score, SUBACTIONS))
+    assert scored == list(SUBACTIONS)
     a, b = (0, 1, 1, 1, 1, 1), (0, 0, 0, 0, 0, 0)
     assert table[a] == 39 and table[a] == 39 and table[b] == 0
-    assert scored == [a, b]
-    assert dict(table) == {a: 39, b: 0}
+    assert table.best() == 39 and table.chain_sum((a, b, a)) == 78
+    assert scored == list(SUBACTIONS)
+    assert type(table.by_code) is tuple and len(table.by_code) == 729
+
+
+def test_single_step_scores_by_code_equal_the_reference():
+    by_code = SINGLE_STEP_SCORES.by_code
+    assert list(by_code) == [reference_fitness_single(s) for s in all_subactions()]
+    for code, sub in enumerate(all_subactions()):
+        assert SINGLE_STEP_SCORES[sub] == by_code[code]
+
+
+def wildcard_heavy_templates(tmp_path):
+    path = tmp_path / "wild.json"
+    path.write_text(json.dumps(
+        ["1*****", "*0****", "**-1***", "*****1", "1*****", "-1****1",
+         "*1*1**", "**0**-1", "0-1-1***", "*-1*-1*0", "111111"]))
+    return path
+
+
+@pytest.mark.parametrize(
+    "make", [None, wildcard_heavy_templates, neutral_best_templates],
+    ids=["default", "wildcard_heavy", "neutral_best"],
+)
+def test_template_scores_by_code_equal_the_reference(make, tmp_path):
+    ts = TemplateSet.default() if make is None else TemplateSet.from_file(make(tmp_path))
+    want = [reference_template_fitness(s, ts.templates) for s in all_subactions()]
+    assert list(ts.scores.by_code) == want
+    assert list(template_scores(ts.templates)) == want
+    assert ts.scores.best() == max(want)
+    for code, sub in enumerate(all_subactions()):
+        assert ts.scores[sub] == want[code]
+
+
+def test_acceptability_by_code_is_the_acceptable_set():
+    assert len(ACCEPTABLE_BY_CODE) == 729
+    assert {SUBACTIONS[c] for c, ok in enumerate(ACCEPTABLE_BY_CODE) if ok} == (
+        ACCEPTABLE_SUBACTIONS)
+    for code, sub in enumerate(all_subactions()):
+        assert ACCEPTABLE_BY_CODE[code] is (sub in ACCEPTABLE_SUBACTIONS)
 
 
 def test_chain_scores_sum_their_step_tables():
@@ -190,7 +234,7 @@ def test_best_score_is_computed_once_per_table():
         scored.append(sub)
         return fitness_single(sub)
 
-    table = ScoreTable(score)
+    table = ScoreTable(map(score, SUBACTIONS))
     assert table.best() == 39 and table.best() == 39
     assert len(scored) == 729
     assert SINGLE_STEP_SCORES.best() == max(

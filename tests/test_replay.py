@@ -283,7 +283,7 @@ def test_the_creator_kernel_invents_and_adopts_as_the_reference_kernels(regime, 
                                 CountingRandom(seed))
                 for _ in range(2)
             )
-            got = creator_adoptions(ours, cfg, scores.__getitem__, top)
+            got = creator_adoptions(ours, cfg, scores.by_code, top)
             want = plain_creator_adoptions(theirs, cfg, scores.__getitem__, top)
             assert got == want
             assert ours.rng.getstate() == theirs.rng.getstate()

@@ -118,6 +118,19 @@ def test_config_validation_errors():
         WorldConfig(tau=0.0).validate()
 
 
+@pytest.mark.parametrize(
+    "field, limit, low",
+    [("lattice_side", world_module.MAX_LATTICE_SIDE, 2),
+     ("iterations", world_module.MAX_ITERATIONS, 1)],
+)
+def test_run_sizes_are_bounded(field, limit, low):
+    for ok in (low, limit):
+        WorldConfig(**{field: ok}).validate()
+    for bad in (low - 1, limit + 1, 10**12):
+        with pytest.raises(ConfigError, match=f"{field} must be in \\[{low}, "):
+            WorldConfig(**{field: bad}).validate()
+
+
 def test_config_digest_is_stable_and_field_sensitive():
     a = WorldConfig()
     b = WorldConfig()
@@ -567,18 +580,18 @@ def test_a_template_file_is_parsed_once_per_process(tmp_path, monkeypatch):
     path = tmp_path / "templates.json"
     path.write_text(json.dumps(templates, indent=3))
     parsed, scored = [], []
-    real_parse, real_score = fitness.parse_template, TemplateSet._score
+    real_parse, real_scores = fitness.parse_template, fitness.template_scores
 
     def counted_parse(text):
         parsed.append(text)
         return real_parse(text)
 
-    def counted_score(self, sub):
-        scored.append(sub)
-        return real_score(self, sub)
+    def counted_scores(templates):
+        scored.append(templates)
+        return real_scores(templates)
 
     monkeypatch.setattr(fitness, "parse_template", counted_parse)
-    monkeypatch.setattr(TemplateSet, "_score", counted_score)
+    monkeypatch.setattr(fitness, "template_scores", counted_scores)
     cfg = small(fitness_regime=REGIME_TEMPLATE, template_file=str(path))
     default = replace(cfg, template_file=None)
     for run in range(4):
@@ -588,4 +601,4 @@ def test_a_template_file_is_parsed_once_per_process(tmp_path, monkeypatch):
         assert (series.mean_fitness, series.diversity) == (
             expected.mean_fitness, expected.diversity)
     assert parsed == templates
-    assert len(scored) <= 729
+    assert len(scored) == 1

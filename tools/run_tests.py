@@ -171,8 +171,13 @@ class CaptureFixture:
 
 
 def _id(value, name, index):
+    """pytest's id of one parameter value: scalars as they print, a value
+    with a ``__name__`` (a class or function) by that name, anything else
+    by argument name and index."""
     if value is None or isinstance(value, (bool, int, float, str)):
         return str(value)
+    if isinstance(getattr(value, "__name__", None), str):
+        return value.__name__
     return f"{name}{index}"
 
 
