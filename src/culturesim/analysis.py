@@ -35,8 +35,6 @@ class RunSeries:
     mean_fitness: List[float]
     diversity: List[int]
     p_create_hist: List[Tuple[int, ...]]
-    config_digest: str
-    run_index: int
 
     def __len__(self) -> int:
         return len(self.mean_fitness)

@@ -28,25 +28,29 @@ from .world import ConfigError
 
 def _read_series(path: str) -> List[float]:
     """The mean_fitness column of a series CSV.  A row without a finite
-    number there fails with the file and line named."""
+    number there, or a line csv cannot parse, fails with the file and line named."""
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None or "mean_fitness" not in reader.fieldnames:
-            raise ConfigError(f"{path} has no mean_fitness column")
-        series = []
-        for row in reader:
-            text = row["mean_fitness"]  # None in a short row
-            try:
-                value = float(text)
-            except (TypeError, ValueError):
-                value = math.nan
-            if not math.isfinite(value):
-                raise ConfigError(
-                    f"{path} line {reader.line_num}: mean_fitness must be a finite"
-                    f" number, got {'nothing' if text is None else repr(text)}"
-                )
-            series.append(value)
-        return series
+        try:
+            if reader.fieldnames is None or "mean_fitness" not in reader.fieldnames:
+                raise ConfigError(f"{path} has no mean_fitness column")
+            series = []
+            for row in reader:
+                text = row["mean_fitness"]  # None in a short row
+                try:
+                    value = float(text)
+                except (TypeError, ValueError):
+                    value = math.nan
+                if not math.isfinite(value):
+                    raise ConfigError(
+                        f"{path} line {reader.line_num}: mean_fitness must be a finite"
+                        f" number, got {'nothing' if text is None else repr(text)}"
+                    )
+                series.append(value)
+            return series
+        except csv.Error as exc:
+            # The csv reader counts the line it failed on; DictReader has not yet.
+            raise ConfigError(f"{path} line {reader.reader.line_num}: {exc}") from None
 
 
 def cmd_run(args: argparse.Namespace) -> int:

@@ -165,7 +165,9 @@ def load_config(path: str) -> ExperimentSpec:
             raw = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
+    # Undecodable bytes, and nesting deeper than the parser's recursion
+    # limit, are malformed JSON too.
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}")
     return _decide(raw)
 
@@ -247,7 +249,7 @@ def _bundles(jobs: Sequence[Tuple[WorldConfig, int]]) -> List[List[int]]:
     bundles: List[List[int]] = []
     by_key: Dict[tuple, List[int]] = {}
     for i, (cfg, run_index) in enumerate(jobs):
-        key = replay_key(cfg, run_index) if isinstance(cfg, WorldConfig) else None
+        key = replay_key(cfg, run_index)
         if key is None:
             bundles.append([i])
         elif key in by_key:

@@ -14,9 +14,9 @@ once when it is built: one per process for single-step fitness, one per
 ``TemplateSet``.  Acceptability is a pure function too, kept by code in
 ``ACCEPTABLE_BY_CODE``.  The kernels that mutate a step move its code
 and index these tables with it; the tuple API (``scores[sub]``,
-``fitness_chain``) reads them through ``CODES``.  A chain scores the sum
-of its steps' entries; the scores are ints, so the sum is exact on every
-Python version.
+``ScoreTable.chain_sum``) reads them through ``CODES``.  A chain scores
+the sum of its steps' entries; the scores are ints, so the sum is exact
+on every Python version.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import hashlib
 import json
 from importlib import resources
 from pathlib import Path
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
 from .actions import (
     CODES,
@@ -101,7 +101,6 @@ class ScoreTable:
 
 
 SINGLE_STEP_SCORES = ScoreTable(map(fitness_single, SUBACTIONS))
-fitness_single_chain = SINGLE_STEP_SCORES.chain_sum
 
 
 def max_fitness_single() -> int:
@@ -140,27 +139,25 @@ class TemplateSet:
         if not self.templates:
             raise ValueError("template set is empty")
         self.scores = ScoreTable(template_scores(self.templates))
-        # The sha256 of the file contents the set was parsed from, if any.
-        self.sha256: Optional[str] = None
 
     @classmethod
     def from_file(cls, path) -> "TemplateSet":
         """The set a JSON array of template strings defines.  It is parsed
         once per process for each distinct file contents (keyed by their
-        sha256, kept as ``sha256``), and then shared with its score table."""
+        sha256), and then shared with its score table."""
         path = Path(path)
         data = path.read_bytes()
         key = hashlib.sha256(data).hexdigest()
         if key not in _FROM_CONTENTS:
-            ts = _FROM_CONTENTS[key] = cls._parse(data, path)
-            ts.sha256 = key
+            _FROM_CONTENTS[key] = cls._parse(data, path)
         return _FROM_CONTENTS[key]
 
     @classmethod
     def _parse(cls, data: bytes, path: Path) -> "TemplateSet":
         try:
             raw = json.loads(data)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
+            # RecursionError: nesting deeper than the parser can follow.
             raise ValueError(f"{path}: not valid JSON ({exc})") from exc
         if not isinstance(raw, list) or not all(isinstance(s, str) for s in raw):
             raise ValueError(f"{path}: expected a JSON array of template strings")
@@ -184,9 +181,6 @@ class TemplateSet:
     def fitness_subaction(self, sub: SubAction) -> int:
         """Summed order of every matching template."""
         return self.scores[sub]
-
-    def fitness_chain(self, chain: ActionChain) -> int:
-        return self.scores.chain_sum(chain)
 
 
 # sha256 of a template file's contents -> the set they define.

@@ -6,7 +6,6 @@ from __future__ import annotations
 import contextlib
 import functools
 import hashlib
-import json
 import math
 import random
 from dataclasses import asdict, dataclass, fields, replace
@@ -19,12 +18,7 @@ from .agent import (
     _MAX_DRAW_TRIES, _PARTNERS, _PARTS, _PERMUTATIONS_4, FLIP_PROBABILITY, Agent,
 )
 from .analysis import RunSeries, p_create_histogram
-from .fitness import (
-    ACCEPTABLE_BY_CODE,
-    SINGLE_STEP_SCORES,
-    TemplateSet,
-    fitness_single_chain,
-)
+from .fitness import ACCEPTABLE_BY_CODE, SINGLE_STEP_SCORES, TemplateSet
 from .network import DECODE_SAFE_CALLS, AutoAssociator, LastPattern
 
 MODE_FIXED_ROLES = "fixed_roles"
@@ -143,23 +137,16 @@ class WorldConfig:
             raise ConfigError(f"tau must be positive, got {self.tau}")
         return self
 
-    def digest_fields(self, template_sha256: Optional[str] = None) -> dict:
-        """The fields a digest covers.  A template file the run reads is
+    def digest_fields(self) -> dict:
+        """The fields the manifest's config digest covers
+        (``ExperimentSpec.digest``).  A template file the run reads is
         named by the sha256 of its contents, not by its path, so an edited
-        file changes the digest and a moved one does not.  A caller that
-        has read the file already passes that sha256 (``TemplateSet.sha256``)
-        and the file is not read again."""
+        file changes the digest and a moved one does not."""
         d = asdict(self)
         if self.template_file and self.fitness_regime == REGIME_TEMPLATE:
-            if template_sha256 is None:
-                contents = Path(self.template_file).read_bytes()
-                template_sha256 = hashlib.sha256(contents).hexdigest()
-            d["template_file"] = "sha256:" + template_sha256
+            contents = Path(self.template_file).read_bytes()
+            d["template_file"] = "sha256:" + hashlib.sha256(contents).hexdigest()
         return d
-
-    def digest(self, template_sha256: Optional[str] = None) -> str:
-        payload = json.dumps(self.digest_fields(template_sha256), sort_keys=True).encode()
-        return hashlib.sha256(payload).hexdigest()
 
 
 def derive_seeds(parts: tuple, lasts) -> List[int]:
@@ -326,22 +313,18 @@ class World:
     def __init__(self, cfg: WorldConfig, run_index: int):
         cfg.validate()
         self.cfg = cfg
-        self.run_index = run_index
         self.iteration = 0
 
-        template_sha256 = None
         if cfg.fitness_regime == REGIME_TEMPLATE:
             ts = (
                 TemplateSet.from_file(cfg.template_file)
                 if cfg.template_file
                 else TemplateSet.default()
             )
-            self.evaluate: Callable[[ActionChain], float] = ts.fitness_chain
             scores = ts.scores
-            template_sha256 = ts.sha256
         else:
-            self.evaluate = fitness_single_chain
             scores = SINGLE_STEP_SCORES
+        self.evaluate: Callable[[ActionChain], float] = scores.chain_sum
         # A chain's fitness is the sum of its steps' scores; step() scores
         # only the steps an invention changes, by their codes.
         self.scores: Sequence[int] = scores.by_code
@@ -380,11 +363,11 @@ class World:
         seed_parts = (cfg.base_seed, run_index)
 
         # Inside a creator log scope every creator of a replay key is
-        # replayed: it gets no RNG and no network, and step() applies its
-        # logged adoptions.  Each one the log does not hold yet is computed
-        # first, alone, and dropped with its RNG and network once logged.
-        # The log lasts as long as its bundle, so equal chains are logged
-        # as one object.
+        # replayed: it gets no RNG and no network, so it is never active,
+        # and step() applies its logged adoptions from ``self.replay``.
+        # Each one the log does not hold yet is computed first, alone, and
+        # dropped with its RNG and network once logged.  The log lasts as
+        # long as its bundle, so equal chains are logged as one object.
         log: Dict[int, list] = {}
         replayed = set()
         if _creator_logs is not None:
@@ -424,25 +407,18 @@ class World:
         # agents holding each, by id; see step().
         self.interned: Dict[ActionChain, ActionChain] = {initial_chain: initial_chain}
         self.holders: Dict[int, int] = {id(initial_chain): n}
-        # The stepped and the replayed agents that can still change their
-        # chain; see step().
+        # The stepped agents that can still change their chain, and the
+        # replayed creators' adoptions still to apply, by iteration; see step().
         self.replay: Dict[int, List[Tuple[Agent, ActionChain, float]]] = {}
         if starts_absorbed:
-            self.active, self.replayed = [], []
+            self.active = []
         else:
             self.active = [a for a in self.agents if a.rng is not None]
-            self.replayed = [a for a in self.agents if a.rng is None]
-            for a in self.replayed:
-                events = log[a.id]
+            for i in sorted(replayed):
+                events = log[i]
                 for t, chain, fit in zip(events[::3], events[1::3], events[2::3]):
-                    self.replay.setdefault(t, []).append((a, chain, fit))
-        self.series = RunSeries(
-            mean_fitness=[],
-            diversity=[],
-            p_create_hist=[],
-            config_digest=cfg.digest(template_sha256),
-            run_index=run_index,
-        )
+                    self.replay.setdefault(t, []).append((self.agents[i], chain, fit))
+        self.series = RunSeries(mean_fitness=[], diversity=[], p_create_hist=[])
 
     def step(self) -> None:
         """One synchronous iteration: every active agent acts against the
@@ -475,7 +451,8 @@ class World:
         builds no tuple and hashes nothing but that lookup.
 
         A replayed creator does not act: its logged adoption of this
-        iteration, if any, is applied as the agent's own would have been.
+        iteration, if any, is popped from ``self.replay`` and applied as
+        the agent's own would have been.
 
         Only an adopting agent changes its chain or fitness, so without SR
         the bookkeeping costs O(adopters), not O(active agents):
@@ -615,8 +592,6 @@ class World:
         self.fitness_total = total
         if absorbed:
             self.active = [a for a in self.active if a.fitness < top]
-            if self.replayed:
-                self.replayed = [a for a in self.replayed if a.fitness < top]
 
         mean_fit = total / len(self.agents)
         if cfg.sr_enabled:
@@ -636,13 +611,15 @@ class World:
             hist.append(hist[-1])
 
     def run(self) -> RunSeries:
-        """Iterate to the horizon.  A run with no active and no replayed
-        agent left below ``absorbing_fitness`` is absorbed: it stops early
-        and repeats its last series values, which is what the remaining
-        iterations would have recorded."""
+        """Iterate to the horizon.  A run with no active agent left below
+        ``absorbing_fitness`` and no logged adoption still to replay stops
+        early and repeats its last series values, which is what the
+        remaining iterations would have recorded: a replayed creator
+        changes only at its logged iterations, and fixed roles, the only
+        mode that replays, exclude SR, so no p(C) changes either."""
         while self.iteration < self.cfg.iterations:
             self.step()
-            if not self.active and not self.replayed:
+            if not self.active and not self.replay:
                 self._pad_to_horizon()
         return self.series
 

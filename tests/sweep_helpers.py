@@ -6,6 +6,7 @@ starts runs on an interpreter without it, as under ``tools/run_tests.py``.
 """
 
 import os
+from dataclasses import dataclass
 
 from culturesim.world import WorldConfig
 
@@ -16,9 +17,10 @@ def tiny_world(**kw):
     return WorldConfig(**base)
 
 
-class DyingConfig:
-    """Stands in for a WorldConfig whose worker process dies mid-run, as an
-    OOM kill would end it."""
+@dataclass(frozen=True)
+class DyingConfig(WorldConfig):
+    """A WorldConfig whose worker process dies mid-run, as an OOM kill
+    would end it."""
 
     def validate(self):
         os._exit(1)

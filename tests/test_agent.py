@@ -26,7 +26,6 @@ from culturesim.fitness import (
     SINGLE_STEP_SCORES,
     TemplateSet,
     fitness_single,
-    fitness_single_chain,
 )
 from culturesim.network import AutoAssociator
 
@@ -441,8 +440,8 @@ def test_invent_and_extend_chain_match_their_copying_forms(max_chain_length):
 
 
 SCORERS = {
-    "templates": (TemplateSet.default().scores.__getitem__, TemplateSet.default().fitness_chain),
-    "single_step": (SINGLE_STEP_SCORES.__getitem__, fitness_single_chain),
+    "templates": (TemplateSet.default().scores.__getitem__, TemplateSet.default().scores.chain_sum),
+    "single_step": (SINGLE_STEP_SCORES.__getitem__, SINGLE_STEP_SCORES.chain_sum),
 }
 
 

@@ -46,7 +46,7 @@ def test_float_means_sum_left_to_right():
     cell = summarize_cell(0.5, 0.5, [2, 4, 7], big, horizon=10)
     assert cell.mean_ttt_log10 == left_to_right(logs) / 3
     assert cell.mean_piv == left_to_right(big) / 3
-    runs = [RunSeries([f], [1], [h], "d", i) for i, (f, h) in enumerate(zip(big, hists))]
+    runs = [RunSeries([f], [1], [h]) for f, h in zip(big, hists)]
     avg = average_series(runs)
     assert avg["mean_fitness"] == [left_to_right(big) / 3]
     low, high, mid = fracs
@@ -166,22 +166,20 @@ def test_summarize_cell_all_censored_is_nan():
     assert cell.censored_count == 2
 
 
-def mk_series(fit, div, hist=None, run_index=0):
+def mk_series(fit, div, hist=None):
     if hist is None:
         hist = [(0,) * 9 + (4,)] * len(fit)
     return RunSeries(
         mean_fitness=list(fit),
         diversity=list(div),
         p_create_hist=list(hist),
-        config_digest="x",
-        run_index=run_index,
     )
 
 
 def test_average_series_is_per_iteration_mean():
     runs = [
         mk_series([1.0, 3.0], [1, 3]),
-        mk_series([3.0, 5.0], [3, 5], run_index=1),
+        mk_series([3.0, 5.0], [3, 5]),
     ]
     avg = average_series(runs)
     assert avg["mean_fitness"] == [2.0, 4.0]

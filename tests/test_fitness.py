@@ -16,7 +16,6 @@ from culturesim.fitness import (
     SINGLE_STEP_SCORES,
     TemplateSet,
     fitness_single,
-    fitness_single_chain,
     max_fitness_single,
     template_order,
     template_scores,
@@ -129,9 +128,9 @@ def test_chain_fitness_sums_steps():
     a = (0, 1, -1, 1, -1, 1)
     b = (0, 1, -1, 1, -1, -1)
     single = ts.fitness_subaction(a)
-    assert ts.fitness_chain((a,)) == single
-    assert ts.fitness_chain((a, b)) == 2 * single
-    assert ts.fitness_chain((a, b, a)) > ts.fitness_chain((a, b))
+    assert ts.scores.chain_sum((a,)) == single
+    assert ts.scores.chain_sum((a, b)) == 2 * single
+    assert ts.scores.chain_sum((a, b, a)) > ts.scores.chain_sum((a, b))
 
 
 def test_template_set_file_errors(tmp_path):
@@ -214,13 +213,13 @@ def test_acceptability_by_code_is_the_acceptable_set():
 def test_chain_scores_sum_their_step_tables():
     subs = list(all_subactions())
     chain = tuple(subs[::37])
-    assert fitness_single_chain(chain) == sum(
+    assert SINGLE_STEP_SCORES.chain_sum(chain) == sum(
         reference_fitness_single(s) for s in chain)
     ts = TemplateSet.default()
-    assert ts.fitness_chain(chain) == sum(
+    assert ts.scores.chain_sum(chain) == sum(
         reference_template_fitness(s, ts.templates) for s in chain)
-    assert type(ts.fitness_chain(chain)) is int
-    assert type(fitness_single_chain(chain)) is int
+    assert type(ts.scores.chain_sum(chain)) is int
+    assert type(SINGLE_STEP_SCORES.chain_sum(chain)) is int
 
 
 def test_default_template_set_is_parsed_once_per_process():

@@ -1,4 +1,5 @@
-"""``tools/run_tests.py`` names each parametrized case as pytest does."""
+"""``tools/run_tests.py`` names each parametrized case and patches an
+attribute as pytest does."""
 
 import importlib.util
 from pathlib import Path
@@ -44,3 +45,23 @@ def test_cases_name_other_values_as_pytest_does():
     assert labels(objects) == ["kw0", "kw1"]
     kwargs = dict(run_tests.cases(stacked))["None-s-two"]
     assert kwargs == {"x": None, "flag": "s", "kw": (1, 2)}
+
+
+def test_monkeypatch_refuses_a_name_the_target_lacks():
+    # pytest's monkeypatch.setattr raises by default, so a test that
+    # patches a deleted name fails under both runners, not only pytest.
+    class Target:
+        present = 1
+
+    patch = run_tests.MonkeyPatch()
+    try:
+        patch.setattr(Target, "missing", 2)
+    except AttributeError as exc:
+        assert "missing" in str(exc)
+    else:
+        raise AssertionError("setattr added a name the target lacks")
+    assert not hasattr(Target, "missing")
+    patch.setattr(Target, "present", 2)
+    assert Target.present == 2
+    patch.undo()
+    assert Target.present == 1

@@ -117,15 +117,17 @@ def pytest_stub() -> types.ModuleType:
 
 
 class MonkeyPatch:
-    _MISSING = object()
-
     def __init__(self):
         self._undo = []
 
     def setattr(self, target, name, value):
-        old = getattr(target, name, self._MISSING)
-        self._undo.append(lambda: delattr(target, name) if old is self._MISSING
-                          else setattr(target, name, old))
+        """Set ``target.name``, which must exist, as pytest's default
+        ``raising=True`` requires: a patch of a name the target lacks
+        raises ``AttributeError`` instead of adding it."""
+        if not hasattr(target, name):
+            raise AttributeError(f"{target!r} has no attribute {name!r}")
+        old = getattr(target, name)
+        self._undo.append(lambda: setattr(target, name, old))
         setattr(target, name, value)
 
     def setenv(self, name, value):
