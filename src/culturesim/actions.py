@@ -1,16 +1,20 @@
 """Domain vocabulary: body parts, sub-actions, action chains, templates.
 
-Everything here is an immutable value (tuples of small ints), so these
-objects can be shared freely between agents, processes, and caches.
+Everything here is an immutable value (small ints and tuples of them), so
+these objects can be shared freely between agents, processes, and caches.
 
 Each of the 3^6 = 729 sub-actions has a code: the base-3 number whose
 digits are its positions plus one, the head most significant, so
 ``code = sum((v + 1) * 3 ** (5 - i))``.  That is its index in
-``all_subactions()``.  ``SUBACTIONS`` holds the one canonical tuple of
-each code, in code order, ``CODES`` maps a tuple to its code, and
-``PLACES`` holds the weight of each part's digit: changing part ``i``
-from ``v`` to ``w`` moves the code by ``(w - v) * PLACES[i]``.  These
-tables are built once per process, at import.
+``all_subactions()``.  ``SUBACTIONS`` holds the tuple of each code, in
+code order, ``CODES`` maps a tuple to its code, and ``PLACES`` holds the
+weight of each part's digit: changing part ``i`` from ``v`` to ``w``
+moves the code by ``(w - v) * PLACES[i]``.  These tables are built once
+per process, at import.
+
+An action chain is a tuple of codes, the one form a sub-action takes in
+a run; its parts are read from ``SUBACTIONS`` only to mutate a step or to
+train a network on it.  Templates and network patterns are tuples.
 """
 
 from __future__ import annotations
@@ -19,7 +23,8 @@ from itertools import product
 from typing import Dict, Iterator, Optional, Tuple
 
 SubAction = Tuple[int, int, int, int, int, int]
-ActionChain = Tuple[SubAction, ...]
+# A chain of sub-action codes (0-728), first step first.
+ActionChain = Tuple[int, ...]
 # A template component is -1, 0, +1, or None for "unspecified".
 Template = Tuple[Optional[int], ...]
 

@@ -1,15 +1,15 @@
 """One agent's per-iteration behavior: biased invention, chain extension,
 lazy imitation, and the social-regulation update of the personal creation
-probability.  ``mutate_subaction`` is the one written form of invention's
-flip-and-draw rule.  It moves the sub-action's code (see ``actions``)
-instead of copying its parts, and returns the canonical tuple of the new
-code from ``SUBACTIONS``.  ``World.step`` writes out each agent's turn (the
-create-or-imitate draw, the ``mutate_subaction`` loop, ``invent``,
-``adopt_if_fitter``, ``imitate`` and ``adopt``) in its own loop, and calls
-``extend_chain`` and ``update_p_create`` from here.
-``world.creator_adoptions``, the kernel of a fixed-role creator of
-creativity 1, writes out the same loop and scores as the step does; it
-calls ``extend_chain`` from here."""
+probability.  A chain is a tuple of sub-action codes (see ``actions``).
+``mutate_subaction`` is the one written form of invention's flip-and-draw
+rule: it reads a code's parts from ``SUBACTIONS`` and moves the code.  A
+network is trained on the parts, ``SUBACTIONS[code]``.  ``World.step``
+writes out each agent's turn (the create-or-imitate draw, the
+``mutate_subaction`` loop, ``invent``, ``adopt_if_fitter``, ``imitate``
+and ``adopt``) in its own loop, and calls ``extend_chain`` and
+``update_p_create`` from here.  ``world.creator_adoptions``, the kernel of
+a fixed-role creator of creativity 1, writes out the same loop and scores
+as the step does; it calls ``extend_chain`` from here."""
 
 from __future__ import annotations
 
@@ -18,8 +18,8 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence, Tuple, Union
 
-from .actions import CODES, PLACES, SUBACTIONS, ActionChain, SubAction
-from .fitness import ACCEPTABLE_SUBACTIONS
+from .actions import PLACES, SUBACTIONS, ActionChain
+from .fitness import ACCEPTABLE_BY_CODE
 from .network import AutoAssociator, LastPattern
 
 FLIP_PROBABILITY = 1.0 / 6.0
@@ -44,30 +44,31 @@ _PARTNERS = (None, 2, 1, 4, 3, None)
 
 
 def mutate_subaction(
-    base: SubAction, movement_bias: float, symmetry_bias: float, rng: random.Random
-) -> SubAction:
+    code: int, movement_bias: float, symmetry_bias: float, rng: random.Random
+) -> int:
     """Flip each part with probability 1/6 (one change on average), and
     draw a new position for each flipped part, never its current one.
 
     Active-vs-neutral is biased by the MOVEMENT activation (uniform over
     the three positions at bias 0.5, never neutral at bias 1).  A flipped
-    limb whose symmetric partner is active in ``base`` copies its
+    limb whose symmetric partner is active in the old step copies its
     direction with probability equal to the SYMMETRY activation.  After
     ``_MAX_DRAW_TRIES`` draws that all equal the current position (biases
     that pin an impossible draw), the position is drawn uniformly from
-    the other two.  With no flip, ``base`` itself is returned.
+    the other two.  The parts are read from ``SUBACTIONS[code]``, and the
+    new code is returned: with no flip, ``code`` itself.
 
-    A flip moves the code by ``(value - current) * PLACES[i]``, and the
-    result is the canonical tuple of the new code, ``SUBACTIONS[new]``.
-    Each flip changes its part, so the code differs from ``base``'s as
-    soon as one part has flipped, and ``new == code`` means none has.
+    A flip moves the code by ``(value - current) * PLACES[i]``.  Each flip
+    changes its part, so the code differs from ``code`` as soon as one
+    part has flipped, and ``new == code`` means none has.
 
     This loop is the one written form of the flip-and-draw rule:
     ``World.step`` and ``world.creator_adoptions`` write it out inline,
     with the same text up to local aliases.
     """
     random_ = rng.random
-    new = code = CODES[base]
+    base = SUBACTIONS[code]
+    new = code
     for i in _PARTS:
         if random_() < FLIP_PROBABILITY:
             if new == code:
@@ -87,11 +88,11 @@ def mutate_subaction(
                 # Biases pinned an impossible draw.
                 value = rng.choice([v for v in (-1, 0, 1) if v != current])
             new += (value - current) * PLACES[i]
-    return base if new == code else SUBACTIONS[new]
+    return new
 
 
 def extend_chain(
-    steps: Sequence[SubAction],
+    steps: Sequence[int],
     max_chain_length: int,
     movement_bias: float,
     symmetry_bias: float,
@@ -104,9 +105,9 @@ def extend_chain(
     itself for a tuple.
     """
     chain = tuple(steps)
-    while len(chain) < max_chain_length and chain[-1] in ACCEPTABLE_SUBACTIONS:
+    while len(chain) < max_chain_length and ACCEPTABLE_BY_CODE[chain[-1]]:
         candidate = mutate_subaction(chain[-1], movement_bias, symmetry_bias, rng)
-        if candidate == chain[-1] or candidate not in ACCEPTABLE_SUBACTIONS:
+        if candidate == chain[-1] or not ACCEPTABLE_BY_CODE[candidate]:
             break
         chain += (candidate,)
     return chain
@@ -133,8 +134,8 @@ def invent(agent: Agent, chaining_enabled: bool, max_chain_length: int) -> Actio
     new_final = mutate_subaction(chain[-1], movement_bias, symmetry_bias, agent.rng)
     if len(chain) > 1 and new_final == chain[-2]:
         return chain  # mutation collided with the previous step
-    steps = chain if new_final is chain[-1] else chain[:-1] + (new_final,)
-    if chaining_enabled and new_final in ACCEPTABLE_SUBACTIONS:
+    steps = chain if new_final == chain[-1] else chain[:-1] + (new_final,)
+    if chaining_enabled and ACCEPTABLE_BY_CODE[new_final]:
         steps = extend_chain(
             steps, max_chain_length, movement_bias, symmetry_bias, agent.rng
         )
@@ -162,13 +163,14 @@ def imitate(
 
 
 def adopt_if_fitter(
-    agent: Agent, candidate: ActionChain, score: Callable[[SubAction], float]
+    agent: Agent, candidate: ActionChain, score: Callable[[int], float]
 ) -> bool:
     """Adopt a strictly fitter candidate and train the network on its final step.
 
-    ``score`` is the world's step scorer.  The candidate must come from
-    ``invent(agent, ...)``: it then shares every step of ``agent.chain``
-    but the last, so only that step and the ones after it are scored.
+    ``score`` is the world's step scorer, by code.  The candidate must
+    come from ``invent(agent, ...)``: it then shares every step of
+    ``agent.chain`` but the last, so only that step and the ones after it
+    are scored.
     Step scores are ints and ``agent.fitness`` is the sum over its chain,
     so the result is exactly the candidate's whole-chain fitness.
 
@@ -201,7 +203,7 @@ def adopt(agent: Agent, chain: ActionChain, fit: float) -> None:
     agent.chain = chain
     agent.fitness = fit
     if agent.p_create != 0.0 and agent.net.trend_learning:
-        agent.net.train(chain[-1])
+        agent.net.train(SUBACTIONS[chain[-1]])
 
 
 def update_p_create(agents: Iterable[Agent], mean_fitness_prev: float) -> None:

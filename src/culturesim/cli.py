@@ -27,8 +27,9 @@ from .world import ConfigError
 
 
 def _read_series(path: str) -> List[float]:
-    """The mean_fitness column of a series CSV.  A row without a finite
-    number there, or a line csv cannot parse, fails with the file and line named."""
+    """The mean_fitness column of a series CSV.  A file with no data row, a
+    row without a finite number there, or a line csv cannot parse, fails
+    with the file (and line) named."""
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         try:
@@ -47,10 +48,12 @@ def _read_series(path: str) -> List[float]:
                         f" number, got {'nothing' if text is None else repr(text)}"
                     )
                 series.append(value)
-            return series
         except csv.Error as exc:
             # The csv reader counts the line it failed on; DictReader has not yet.
             raise ConfigError(f"{path} line {reader.reader.line_num}: {exc}") from None
+    if not series:
+        raise ConfigError(f"{path} contains no data rows")
+    return series
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -75,8 +78,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         if not math.isfinite(value):
             raise ConfigError(f"{name} must be finite, got {value!r}")
     series = _read_series(args.series)
-    if not series:
-        raise ConfigError(f"{args.series} contains no data rows")
     horizon = len(series)
     ttt = time_to_threshold(series, args.tau)
     rate = discount_rate(args.rate) if args.rate > 1.0 else args.rate
@@ -89,6 +90,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     ]
     if args.baseline:
         baseline = _read_series(args.baseline)
+        if len(baseline) != horizon:
+            raise ConfigError(
+                f"series {args.series} has {horizon} data rows,"
+                f" but baseline {args.baseline} has {len(baseline)}"
+            )
         lines.append(f"piv={fmt(piv(series, baseline))}")
     print("\n".join(lines))
     return 0

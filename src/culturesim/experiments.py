@@ -75,6 +75,9 @@ class ExperimentSpec:
                     f"preset {self.preset} runs with {key}={value!r}, "
                     f"but the config gives {given!r}"
                 )
+        if not self.output_dir:
+            # Path("") is the current directory.
+            raise ConfigError("output_dir must be a non-empty path")
         if self.runs_per_cell < 1:
             raise ConfigError(
                 f"runs_per_cell must be >= 1, got {self.runs_per_cell}"

@@ -12,11 +12,11 @@ Either way a step's score is a pure function of the sub-action, kept in
 a ``ScoreTable`` of the 729 scores by code (see ``actions``), filled
 once when it is built: one per process for single-step fitness, one per
 ``TemplateSet``.  Acceptability is a pure function too, kept by code in
-``ACCEPTABLE_BY_CODE``.  The kernels that mutate a step move its code
-and index these tables with it; the tuple API (``scores[sub]``,
-``ScoreTable.chain_sum``) reads them through ``CODES``.  A chain scores
-the sum of its steps' entries; the scores are ints, so the sum is exact
-on every Python version.
+``ACCEPTABLE_BY_CODE``.  Chains are tuples of codes, so every kernel
+indexes these tables with a chain's steps as they stand; only
+``TemplateSet.fitness_subaction``, for the CLI, takes a sub-action's
+tuple.  A chain scores the sum of its steps' entries; the scores are
+ints, so the sum is exact on every Python version.
 """
 
 from __future__ import annotations
@@ -73,17 +73,14 @@ def fitness_single(sub: SubAction) -> int:
 
 class ScoreTable:
     """The scores of the 729 sub-actions, filled when the table is built.
-    ``by_code`` is the tuple of scores in code order, which the mutation
-    kernels index; ``table[sub]`` reads it through the sub-action's code."""
+    ``by_code`` is the tuple of scores in code order, which the kernels
+    index."""
 
     __slots__ = ("by_code", "_best")
 
     def __init__(self, scores: Iterable[int]):
         self.by_code: Tuple[int, ...] = tuple(scores)
         self._best = max(self.by_code)
-
-    def __getitem__(self, sub: SubAction) -> int:
-        return self.by_code[CODES[sub]]
 
     def best(self) -> int:
         """The best score over all 729 sub-actions."""
@@ -93,10 +90,10 @@ class ScoreTable:
         """The summed score of a chain's steps.  Without chaining every
         chain has one step, where this loop is cheaper than setting up
         ``sum(map(...))``."""
-        by_code, codes = self.by_code, CODES
+        by_code = self.by_code
         total = 0
-        for step in chain:
-            total += by_code[codes[step]]
+        for code in chain:
+            total += by_code[code]
         return total
 
 
@@ -161,6 +158,8 @@ class TemplateSet:
             raise ValueError(f"{path}: not valid JSON ({exc})") from exc
         if not isinstance(raw, list) or not all(isinstance(s, str) for s in raw):
             raise ValueError(f"{path}: expected a JSON array of template strings")
+        if not raw:
+            raise ValueError(f"{path}: template set is empty")
         templates = []
         for i, text in enumerate(raw):
             try:
@@ -179,8 +178,8 @@ class TemplateSet:
             return cls.from_file(path)
 
     def fitness_subaction(self, sub: SubAction) -> int:
-        """Summed order of every matching template."""
-        return self.scores[sub]
+        """Summed order of every template the tuple ``sub`` matches."""
+        return self.scores.by_code[CODES[sub]]
 
 
 # sha256 of a template file's contents -> the set they define.

@@ -1,5 +1,7 @@
 """The artificial world: toroidal lattice, creator placement, synchronous
-iteration, and deterministic per-agent RNG streams."""
+iteration, and deterministic per-agent RNG streams.  Agents hold chains of
+sub-action codes (see ``actions``), and a run's diversity is the number of
+distinct chains held, counted by value."""
 
 from __future__ import annotations
 
@@ -214,13 +216,11 @@ def creator_adoptions(
     collision rule, the score of the new final step, ``agent.extend_chain``
     when chaining, strict adoption, and training on adoption under trend
     learning.  ``scores`` is the world's score table by code
-    (``ScoreTable.by_code``).  The code of the final step is kept beside
-    the chain, so an iteration that appends no step moves and indexes
-    codes and hashes nothing; one that adopts nothing calls only the RNG's
-    methods and builtins, and builds no candidate chain.  The bias changes only when the network
-    trains, so it is read again only then.  The loop stops once the
-    creator reaches ``top``, the absorbing fitness, as ``step`` stops
-    moving it.  ``agent`` starts in the world's initial state with its own
+    (``ScoreTable.by_code``).  The final step's parts and the bias change
+    only on adoption, so they are read again only then, and an iteration
+    that adopts nothing hashes nothing and builds no candidate chain.  The
+    loop stops once the creator reaches ``top``, the absorbing fitness, as
+    ``step`` stops moving it.  ``agent`` starts in the world's initial state with its own
     RNG and network, which nothing reads once this returns.
     """
     extend_chain = agent_ops.extend_chain
@@ -229,10 +229,10 @@ def creator_adoptions(
     random_ = rng.random
     flip, tries = FLIP_PROBABILITY, range(_MAX_DRAW_TRIES)
     parts, partners, place = _PARTS, _PARTNERS, PLACES
-    codes, subactions, acceptable = CODES, SUBACTIONS, ACCEPTABLE_BY_CODE
+    subactions, acceptable = SUBACTIONS, ACCEPTABLE_BY_CODE
     chain, fitness = agent.chain, agent.fitness
-    base = chain[-1]
-    code = codes[base]
+    code = chain[-1]
+    base = subactions[code]
     train = net.train if net.trend_learning else None
     movement_bias, symmetry_bias = net.invention_bias()
     events: list = []
@@ -261,27 +261,26 @@ def creator_adoptions(
                     value = rng.choice([v for v in (-1, 0, 1) if v != current])
                 new += (value - current) * place[i]
         if new == code:
-            new_final, fit = base, fitness
+            fit = fitness
         else:
-            new_final = subactions[new]
-            if len(chain) > 1 and new_final == chain[-2]:
+            if len(chain) > 1 and new == chain[-2]:
                 continue  # collided with the step before
             # Only the final step changed; scores are ints.
             fit = fitness - scores[code] + scores[new]
-        steps = (new_final,)
+        steps = (new,)
         if chaining_enabled and acceptable[new]:
             steps = extend_chain(
                 steps, max_chain_length - len(chain) + 1,
                 movement_bias, symmetry_bias, rng,
             )
             for step in steps[1:]:
-                new = codes[step]
-                fit += scores[new]
+                fit += scores[step]
         # Nothing changed (fit is the creator's own) or not fitter.
         if fit <= fitness:
             continue
         chain, fitness = chain[:-1] + steps, fit
-        base, code = chain[-1], new
+        code = chain[-1]
+        base = subactions[code]
         if train is not None:
             train(base)
             movement_bias, symmetry_bias = net.invention_bias()
@@ -346,7 +345,7 @@ class World:
             for i in placement_rng.sample(range(n), round(cfg.creator_fraction * n)):
                 p_create[i] = cfg.creator_creativity
 
-        initial_chain: ActionChain = (NEUTRAL,)
+        initial_chain: ActionChain = (CODES[NEUTRAL],)
         initial_fitness = self.evaluate(initial_chain)
         # Under a template set whose best step is the neutral one, every
         # agent starts absorbed.
@@ -366,8 +365,7 @@ class World:
         # replayed: it gets no RNG and no network, so it is never active,
         # and step() applies its logged adoptions from ``self.replay``.
         # Each one the log does not hold yet is computed first, alone, and
-        # dropped with its RNG and network once logged.  The log lasts as
-        # long as its bundle, so equal chains are logged as one object.
+        # dropped with its RNG and network once logged.
         log: Dict[int, list] = {}
         replayed = set()
         if _creator_logs is not None:
@@ -376,14 +374,11 @@ class World:
                 log = _creator_logs.setdefault(key, {})
                 replayed = {i for i in range(n) if p_create[i] == 1.0}
         new = [] if starts_absorbed else sorted(replayed.difference(log))
-        chains: Dict[ActionChain, ActionChain] = {}
         for i, seed in zip(new, derive_seeds(seed_parts, new)):
             rng = Random(seed)
             creator = Agent(i, 1.0, initial_chain, initial_fitness,
                             net_class(rng, trend_learning), rng)
-            events = creator_adoptions(creator, cfg, self.scores, top)
-            events[1::3] = [chains.setdefault(c, c) for c in events[1::3]]
-            log[i] = events
+            log[i] = creator_adoptions(creator, cfg, self.scores, top)
 
         self.agents: List[Agent] = []
         append = self.agents.append
@@ -403,10 +398,8 @@ class World:
             (initial_chain, initial_fitness)
         ] * n
         self.fitness_total = initial_fitness * n
-        # The one object of each chain an agent holds, and the number of
-        # agents holding each, by id; see step().
-        self.interned: Dict[ActionChain, ActionChain] = {initial_chain: initial_chain}
-        self.holders: Dict[int, int] = {id(initial_chain): n}
+        # The number of agents holding each chain; see step().
+        self.holders: Dict[ActionChain, int] = {initial_chain: n}
         # The stepped agents that can still change their chain, and the
         # replayed creators' adoptions still to apply, by iteration; see step().
         self.replay: Dict[int, List[Tuple[Agent, ActionChain, float]]] = {}
@@ -439,16 +432,15 @@ class World:
         the incremental int score and adoption if strictly fitter; or one
         draw for the order of the neighbour scan, which takes the first
         strictly fitter snapshot pair.  An adopter trains its network on
-        its new final step, as ``agent.adopt`` does.  Extension is given
+        the parts of its new final step, as ``agent.adopt`` does.  Extension is given
         the new final step alone, with the room the whole chain has left,
         so a candidate chain is built only when it is adopted.
 
-        The loop moves the final step's code (one ``CODES`` lookup per
-        invention) instead of copying its parts.  The new step is the
-        canonical ``SUBACTIONS[new]``, and the score and acceptability of
-        both steps are read from ``self.scores`` and ``ACCEPTABLE_BY_CODE``
-        by code, so an invention that appends no step and is not adopted
-        builds no tuple and hashes nothing but that lookup.
+        A chain is a tuple of codes.  The loop reads the final step's parts
+        from ``SUBACTIONS`` and moves its code, and the score and
+        acceptability of both steps are read from ``self.scores`` and
+        ``ACCEPTABLE_BY_CODE`` by code, so an invention that appends no
+        step and is not adopted builds no tuple and hashes nothing.
 
         A replayed creator does not act: its logged adoption of this
         iteration, if any, is popped from ``self.replay`` and applied as
@@ -461,10 +453,10 @@ class World:
           other entry still holds its agent's pair;
         * ``fitness_total`` moves by each adopter's gain.  Scores are ints,
           so it is exact, and the mean is the one a full sum gives;
-        * each adopted invention and replayed chain is interned, so equal
-          chains held by agents are one object, and ``holders`` counts the
-          agents that hold each object by its id.  Diversity is the number
-          of objects held; a chain whose last holder leaves is dropped.
+        * ``holders`` counts the agents that hold each chain, by value:
+          each adopter adds one to its new chain and takes one from its
+          old one, and a chain whose count reaches 0 is dropped.  Diversity
+          is the number of chains held.
 
         The SR update and the p(C) histogram still cover every agent.
         """
@@ -474,14 +466,12 @@ class World:
         snapshot = self.snapshot
         neighbors = self.neighbors
         scores = self.scores
-        interned = self.interned
-        intern = interned.setdefault
         # Looked up once per step, so a patched or traced kernel installed
         # before the step still sees every call the step makes.
         extend_chain = agent_ops.extend_chain
         flip, tries = FLIP_PROBABILITY, range(_MAX_DRAW_TRIES)
         parts, partners, place = _PARTS, _PARTNERS, PLACES
-        codes, subactions, acceptable = CODES, SUBACTIONS, ACCEPTABLE_BY_CODE
+        subactions, acceptable = SUBACTIONS, ACCEPTABLE_BY_CODE
         orders = _PERMUTATIONS_4
         adopters = []
         for a in self.active:
@@ -492,8 +482,8 @@ class World:
                 # probability 1/6; a limb copies its partner as it stands in
                 # the old step.
                 chain = a.chain
-                base = chain[-1]
-                code = codes[base]
+                code = chain[-1]
+                base = subactions[code]
                 movement_bias, symmetry_bias = a.net.invention_bias()
                 new = code
                 for i in parts:
@@ -516,15 +506,14 @@ class World:
                             value = rng.choice([v for v in (-1, 0, 1) if v != current])
                         new += (value - current) * place[i]
                 if new == code:
-                    new_final, fit = base, a.fitness
+                    fit = a.fitness
                 else:
-                    new_final = subactions[new]
-                    if len(chain) > 1 and new_final == chain[-2]:
+                    if len(chain) > 1 and new == chain[-2]:
                         continue  # collided with the step before
                     # Only the final step changed.  Scores are ints, so
                     # the sum is exact in any order.
                     fit = a.fitness - scores[code] + scores[new]
-                steps = (new_final,)
+                steps = (new,)
                 if chaining_enabled and acceptable[new]:
                     # Extended alone, with the room the kept steps leave,
                     # it appends what the whole candidate would.
@@ -533,17 +522,15 @@ class World:
                         movement_bias, symmetry_bias, rng,
                     )
                     for step in steps[1:]:
-                        new = codes[step]
-                        fit += scores[new]
+                        fit += scores[step]
                 # Nothing changed (fit is the agent's own) or not fitter.
                 if fit <= a.fitness:
                     continue
-                candidate = chain[:-1] + steps
-                a.chain = chain = intern(candidate, candidate)
+                a.chain = chain = chain[:-1] + steps
                 a.fitness = fit
                 # An inventing agent has p(C) > 0.
                 if trend_learning:
-                    a.net.train(chain[-1])
+                    a.net.train(subactions[chain[-1]])
                 adopters.append(a)
             else:
                 # Imitate: the first strictly fitter neighbour in a random
@@ -557,38 +544,31 @@ class World:
                         # p(C) = 0 never invents again, and without trend
                         # learning the bias is constant: no need to train.
                         if trend_learning and a.p_create != 0.0:
-                            a.net.train(pair[0][-1])
+                            a.net.train(subactions[pair[0][-1]])
                         adopters.append(a)
                         break
         if self.replay:
             for a, chain, fit in self.replay.pop(self.iteration, ()):
-                a.chain, a.fitness = intern(chain, chain), fit
+                a.chain, a.fitness = chain, fit
                 adopters.append(a)
 
         top = self.absorbing_fitness
         total = self.fitness_total
         holders = self.holders
         absorbed = False
-        left = []
         for a in adopters:
             old_chain, old_fit = snapshot[a.id]
             chain, fit = a.chain, a.fitness
             total += fit - old_fit
             snapshot[a.id] = (chain, fit)
-            key = id(chain)
-            holders[key] = holders.get(key, 0) + 1
-            left.append(old_chain)
+            holders[chain] = holders.get(chain, 0) + 1
+            count = holders[old_chain] - 1
+            if count:
+                holders[old_chain] = count
+            else:
+                del holders[old_chain]
             if top is not None and fit >= top:
                 absorbed = True
-        # Every adopter is counted in before any leaves, so a chain that
-        # changes hands within the step is never dropped.
-        for chain in left:
-            key = id(chain)
-            count = holders[key] - 1
-            if count:
-                holders[key] = count
-            else:
-                del holders[key], interned[chain]
         self.fitness_total = total
         if absorbed:
             self.active = [a for a in self.active if a.fitness < top]

@@ -22,6 +22,7 @@ from culturesim.agent import (
     update_p_create,
 )
 from culturesim.fitness import (
+    ACCEPTABLE_BY_CODE,
     ACCEPTABLE_SUBACTIONS,
     SINGLE_STEP_SCORES,
     TemplateSet,
@@ -44,7 +45,22 @@ ACCEPTABLE = (
 SYMMETRIC_PARTNER = {1: 2, 2: 1, 3: 4, 4: 3}
 
 
-def make_agent(p_create=0.5, chain=(NEUTRAL,), fitness=0.0, seed=0):
+def codes(chain):
+    """A chain of sub-action tuples as the chain of their codes."""
+    return tuple(CODES[s] for s in chain)
+
+
+def subs(chain):
+    """A chain of codes as the chain of their sub-action tuples."""
+    return tuple(SUBACTIONS[c] for c in chain)
+
+
+def mutate(base, movement_bias, symmetry_bias, rng):
+    """``mutate_subaction`` on a sub-action's tuple, giving a tuple."""
+    return SUBACTIONS[mutate_subaction(CODES[base], movement_bias, symmetry_bias, rng)]
+
+
+def make_agent(p_create=0.5, chain=(CODES[NEUTRAL],), fitness=0.0, seed=0):
     rng = random.Random(seed)
     return Agent(
         id=0,
@@ -67,7 +83,7 @@ def test_mutation_changes_one_component_on_average():
     n = 20000
     total_changes = 0
     for _ in range(n):
-        cand = mutate_subaction(base, 0.5, 0.5, rng)
+        cand = mutate(base, 0.5, 0.5, rng)
         total_changes += sum(1 for a, b in zip(base, cand) if a != b)
     assert total_changes / n == pytest.approx(1.0, abs=0.03)
 
@@ -77,7 +93,7 @@ def draws(base, movement_bias, symmetry_bias, rng, parts, n):
     makes to ``parts`` of ``base``, read from its outputs."""
     values = []
     while len(values) < n:
-        cand = mutate_subaction(base, movement_bias, symmetry_bias, rng)
+        cand = mutate(base, movement_bias, symmetry_bias, rng)
         values += [cand[i] for i in parts if cand[i] != base[i]]
     return values[:n]
 
@@ -123,25 +139,25 @@ def test_extend_chain_appends_acceptable_novel_steps():
     a = ACCEPTABLE[0]
     rng = random.Random(21)
     for _ in range(200):
-        chain = extend_chain([a], 50, 0.7, 0.5, rng)
+        chain = extend_chain([CODES[a]], 50, 0.7, 0.5, rng)
         for k in range(1, len(chain)):
             assert chain[k] != chain[k - 1]
-            assert chain[k] in ACCEPTABLE_SUBACTIONS
+            assert ACCEPTABLE_BY_CODE[chain[k]]
         assert len(chain) <= 50
 
 
 def test_extend_chain_stops_at_unacceptable_final_step():
     rng = random.Random(23)
-    chain = extend_chain([(1, 1, 1, 1, 1, 0)], 50, 0.7, 0.5, rng)
-    assert chain == ((1, 1, 1, 1, 1, 0),)
+    chain = extend_chain([CODES[(1, 1, 1, 1, 1, 0)]], 50, 0.7, 0.5, rng)
+    assert chain == (CODES[(1, 1, 1, 1, 1, 0)],)
 
 
 def test_invent_mutates_only_the_final_step():
     a, b = ACCEPTABLE[0], ACCEPTABLE[1]
-    agent = make_agent(chain=(a, b), seed=31)
+    agent = make_agent(chain=codes((a, b)), seed=31)
     for _ in range(100):
         candidate = invent(agent, chaining_enabled=False, max_chain_length=50)
-        assert candidate[0] == a
+        assert candidate[0] == CODES[a]
         assert len(candidate) == 2 or candidate is agent.chain
 
 
@@ -149,7 +165,7 @@ def test_invent_rejects_collision_with_previous_step():
     # If mutating the final step reproduces the step before it, the
     # candidate would violate the novelty rule and is withdrawn.
     a, b = ACCEPTABLE[0], ACCEPTABLE[1]
-    agent = make_agent(chain=(a, b), seed=37)
+    agent = make_agent(chain=codes((a, b)), seed=37)
     saw_collision = False
     for _ in range(3000):
         candidate = invent(agent, chaining_enabled=False, max_chain_length=50)
@@ -178,14 +194,14 @@ def test_imitate_never_adopts_equal_fitness():
 
 
 def test_adopt_if_fitter_is_strict_and_trains_network():
-    agent = make_agent(chain=(NEUTRAL,), fitness=0.0, seed=47)
-    candidate = ((0, 1, 1, 1, 1, 1),)
-    assert adopt_if_fitter(agent, candidate, lambda s: float(fitness_single(s)))
+    agent = make_agent(chain=(CODES[NEUTRAL],), fitness=0.0, seed=47)
+    candidate = (CODES[(0, 1, 1, 1, 1, 1)],)
+    assert adopt_if_fitter(agent, candidate, lambda c: float(fitness_single(SUBACTIONS[c])))
     assert agent.chain == candidate
     assert agent.fitness == 39.0
-    assert agent.net.recall(candidate[-1]) == candidate[-1]
+    assert agent.net.recall((0, 1, 1, 1, 1, 1)) == (0, 1, 1, 1, 1, 1)
 
-    same = ((0, -1, -1, -1, -1, -1),)
+    same = (CODES[(0, -1, -1, -1, -1, -1)],)
     assert not adopt_if_fitter(agent, same, lambda s: 39.0)
     assert agent.chain == candidate
 
@@ -225,7 +241,7 @@ def test_symmetric_training_raises_symmetric_candidate_frequency():
         hits = 0
         n = 20000
         for _ in range(n):
-            cand = mutate_subaction((0, 1, 0, 0, 0, 0), mb, sb, rng)
+            cand = mutate((0, 1, 0, 0, 0, 0), mb, sb, rng)
             if cand[1] != 0 and cand[1] == cand[2]:
                 hits += 1
         return hits / n
@@ -367,7 +383,7 @@ def test_mutation_matches_the_draw_position_form_on_every_base():
         rng, ref_rng = CountingRandom(61), CountingRandom(61)
         for base in all_subactions():
             for _ in range(6):
-                got = mutate_subaction(base, movement_bias, symmetry_bias, rng)
+                got = mutate(base, movement_bias, symmetry_bias, rng)
                 want = reference_mutate_subaction(
                     base, movement_bias, symmetry_bias, ref_rng)
                 assert got == want
@@ -378,19 +394,17 @@ def test_mutation_matches_the_draw_position_form_on_every_base():
             assert rng.fallbacks > 0
 
 
-def test_mutation_returns_base_itself_or_the_tables_subaction():
+def test_mutation_returns_its_code_or_another_code():
     rng = random.Random(83)
     flipped = kept = 0
-    for base in all_subactions():
-        # An equal tuple that is not the table's object.
-        copy = tuple(list(base))
+    for code in range(len(SUBACTIONS)):
         for _ in range(4):
-            got = mutate_subaction(copy, 0.5, 0.5, rng)
-            if got == copy:
-                assert got is copy
+            got = mutate_subaction(code, 0.5, 0.5, rng)
+            assert type(got) is int and 0 <= got < len(SUBACTIONS)
+            if got == code:
                 kept += 1
             else:
-                assert got is SUBACTIONS[CODES[got]]
+                assert SUBACTIONS[got] != SUBACTIONS[code]
                 flipped += 1
     assert kept > 0 and flipped > 0
 
@@ -413,12 +427,12 @@ def test_invent_and_extend_chain_match_their_copying_forms(max_chain_length):
     appended = at_max = 0
     for seed in range(150):
         chain = random_chain(chain_rng, chain_rng.randint(1, max_chain_length))
-        agent = make_agent(chain=chain, seed=seed)
+        agent = make_agent(chain=codes(chain), seed=seed)
         ref = make_agent(chain=chain, seed=seed)
         for _ in range(20):
             got = invent(agent, True, max_chain_length)
             want = reference_invent(ref, True, max_chain_length)
-            assert got == want
+            assert subs(got) == want
             # The chain itself comes back for a collision, as before, and
             # now also for a no-op: an unchanged final step, nothing appended.
             assert (got is agent.chain) == (want is ref.chain or want == ref.chain)
@@ -428,10 +442,10 @@ def test_invent_and_extend_chain_match_their_copying_forms(max_chain_length):
 
         steps = list(chain)
         mb, sb = agent.net.invention_bias()
-        got = extend_chain(steps, max_chain_length, mb, sb, agent.rng)
+        got = extend_chain(list(codes(chain)), max_chain_length, mb, sb, agent.rng)
         want = reference_extend_chain(steps, max_chain_length, mb, sb, ref.rng)
-        assert type(got) is tuple and got == want
-        assert extend_chain(chain, max_chain_length, mb, sb, agent.rng) == (
+        assert type(got) is tuple and subs(got) == want
+        assert subs(extend_chain(codes(chain), max_chain_length, mb, sb, agent.rng)) == (
             reference_extend_chain(chain, max_chain_length, mb, sb, ref.rng))
         assert agent.rng.getstate() == ref.rng.getstate()
     assert at_max > 0
@@ -440,8 +454,9 @@ def test_invent_and_extend_chain_match_their_copying_forms(max_chain_length):
 
 
 SCORERS = {
-    "templates": (TemplateSet.default().scores.__getitem__, TemplateSet.default().scores.chain_sum),
-    "single_step": (SINGLE_STEP_SCORES.__getitem__, SINGLE_STEP_SCORES.chain_sum),
+    "templates": (TemplateSet.default().scores.by_code.__getitem__,
+                  TemplateSet.default().scores.chain_sum),
+    "single_step": (SINGLE_STEP_SCORES.by_code.__getitem__, SINGLE_STEP_SCORES.chain_sum),
 }
 
 
@@ -454,7 +469,7 @@ def test_adopt_if_fitter_scores_inventions_as_the_whole_chain_does(scorer, max_c
     chain_rng = random.Random(79 + max_chain_length)
     seen = dict(collision=0, no_op=0, appended=0, at_max=0, adopted=0, rejected=0)
     for seed in range(150):
-        chain = random_chain(chain_rng, chain_rng.randint(1, max_chain_length))
+        chain = codes(random_chain(chain_rng, chain_rng.randint(1, max_chain_length)))
         agent = make_agent(chain=chain, fitness=evaluate(chain), seed=seed)
         for _ in range(20):
             before_chain, before_fit = agent.chain, agent.fitness
@@ -467,7 +482,7 @@ def test_adopt_if_fitter_scores_inventions_as_the_whole_chain_does(scorer, max_c
                 mb, sb = agent.net.invention_bias()
                 new_final = mutate_subaction(before_chain[-1], mb, sb, agent.rng)
                 agent.rng.setstate(after)
-                if new_final is before_chain[-1]:
+                if new_final == before_chain[-1]:
                     seen["no_op"] += 1
                 else:
                     assert new_final == before_chain[-2]

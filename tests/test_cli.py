@@ -211,8 +211,10 @@ def test_analyze_prints_nothing_before_a_bad_rate(tmp_path, capsys):
         ("1,2.0\n2,-inf", "baseline",
          "line 3: mean_fitness must be a finite number, got '-inf'"),
         ("1,x", "series", "line 2: mean_fitness must be a finite number, got 'x'"),
+        ("", "baseline", "contains no data rows"),
     ],
-    ids=["short_row", "short_baseline_row", "nan", "baseline_infinity", "not_a_number"],
+    ids=["short_row", "short_baseline_row", "nan", "baseline_infinity", "not_a_number",
+         "header_only_baseline"],
 )
 def test_analyze_names_the_file_and_line_of_a_bad_row(
     tmp_path, capsys, rows, bad_file, message
@@ -240,6 +242,20 @@ def test_analyze_names_a_non_finite_rate_as_given(tmp_path, capsys, rate):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: rate must be finite, got {rate}\n"
+
+
+def test_analyze_names_both_files_of_a_baseline_of_another_length(tmp_path, capsys):
+    series = tmp_path / "series.csv"
+    series.write_text("iter,mean_fitness\n1,2.0\n2,4.0\n")
+    baseline = tmp_path / "baseline.csv"
+    baseline.write_text("iter,mean_fitness\n1,2.0\n2,4.0\n3,5.0\n")
+    assert main([
+        "analyze", str(series), "--tau", "3", "--rate", "0.9", "--baseline", str(baseline),
+    ]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: series {series} has 2 data rows, but baseline {baseline} has 3\n")
 
 
 def test_an_unusable_output_dir_fails_before_any_run(tmp_path, capsys, monkeypatch):

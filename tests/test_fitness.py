@@ -128,6 +128,7 @@ def test_chain_fitness_sums_steps():
     a = (0, 1, -1, 1, -1, 1)
     b = (0, 1, -1, 1, -1, -1)
     single = ts.fitness_subaction(a)
+    a, b = CODES[a], CODES[b]
     assert ts.scores.chain_sum((a,)) == single
     assert ts.scores.chain_sum((a, b)) == 2 * single
     assert ts.scores.chain_sum((a, b, a)) > ts.scores.chain_sum((a, b))
@@ -153,7 +154,7 @@ def test_template_set_file_errors(tmp_path):
 def test_subaction_fitness_is_read_from_the_score_table():
     ts = TemplateSet.default()
     sub = (0, 1, -1, 1, -1, 1)
-    assert ts.fitness_subaction(sub) == ts.scores[sub]
+    assert ts.fitness_subaction(sub) == ts.scores.by_code[CODES[sub]]
     assert ts.fitness_subaction(sub) == reference_template_fitness(sub, ts.templates)
 
 
@@ -166,8 +167,8 @@ def test_score_table_scores_each_subaction_once_at_construction():
 
     table = ScoreTable(map(score, SUBACTIONS))
     assert scored == list(SUBACTIONS)
-    a, b = (0, 1, 1, 1, 1, 1), (0, 0, 0, 0, 0, 0)
-    assert table[a] == 39 and table[a] == 39 and table[b] == 0
+    a, b = CODES[(0, 1, 1, 1, 1, 1)], CODES[(0, 0, 0, 0, 0, 0)]
+    assert table.by_code[a] == 39 and table.by_code[a] == 39 and table.by_code[b] == 0
     assert table.best() == 39 and table.chain_sum((a, b, a)) == 78
     assert scored == list(SUBACTIONS)
     assert type(table.by_code) is tuple and len(table.by_code) == 729
@@ -177,7 +178,7 @@ def test_single_step_scores_by_code_equal_the_reference():
     by_code = SINGLE_STEP_SCORES.by_code
     assert list(by_code) == [reference_fitness_single(s) for s in all_subactions()]
     for code, sub in enumerate(all_subactions()):
-        assert SINGLE_STEP_SCORES[sub] == by_code[code]
+        assert SINGLE_STEP_SCORES.by_code[CODES[sub]] == by_code[code]
 
 
 def wildcard_heavy_templates(tmp_path):
@@ -199,7 +200,7 @@ def test_template_scores_by_code_equal_the_reference(make, tmp_path):
     assert list(template_scores(ts.templates)) == want
     assert ts.scores.best() == max(want)
     for code, sub in enumerate(all_subactions()):
-        assert ts.scores[sub] == want[code]
+        assert ts.scores.by_code[CODES[sub]] == want[code]
 
 
 def test_acceptability_by_code_is_the_acceptable_set():
@@ -213,13 +214,14 @@ def test_acceptability_by_code_is_the_acceptable_set():
 def test_chain_scores_sum_their_step_tables():
     subs = list(all_subactions())
     chain = tuple(subs[::37])
-    assert SINGLE_STEP_SCORES.chain_sum(chain) == sum(
+    codes = tuple(CODES[s] for s in chain)
+    assert SINGLE_STEP_SCORES.chain_sum(codes) == sum(
         reference_fitness_single(s) for s in chain)
     ts = TemplateSet.default()
-    assert ts.scores.chain_sum(chain) == sum(
+    assert ts.scores.chain_sum(codes) == sum(
         reference_template_fitness(s, ts.templates) for s in chain)
-    assert type(ts.scores.chain_sum(chain)) is int
-    assert type(SINGLE_STEP_SCORES.chain_sum(chain)) is int
+    assert type(ts.scores.chain_sum(codes)) is int
+    assert type(SINGLE_STEP_SCORES.chain_sum(codes)) is int
 
 
 def test_default_template_set_is_parsed_once_per_process():

@@ -19,7 +19,7 @@ import pytest
 from culturesim import agent as agent_ops
 from culturesim import experiments
 from culturesim import world as world_module
-from culturesim.actions import NEUTRAL
+from culturesim.actions import CODES, NEUTRAL
 from culturesim.fitness import SINGLE_STEP_SCORES, TemplateSet
 from culturesim.network import DECODE_SAFE_CALLS
 from culturesim.world import (
@@ -41,17 +41,6 @@ def neutral_best_templates(tmp_path):
     path = tmp_path / "neutral.json"
     path.write_text(json.dumps(["000000", "1*****"]))
     return str(path)
-
-
-def assert_interned(world):
-    """Each distinct chain the agents hold is one object: ``holders`` has
-    exactly one entry per distinct chain, counting its holders by id, and
-    the intern table holds that object and no other chain."""
-    chains = [a.chain for a in world.agents]
-    assert world.holders == dict(Counter(map(id, chains)))
-    assert len(world.holders) == len(set(chains))
-    assert world.interned == {c: c for c in chains}
-    assert all(world.interned[c] is c for c in chains)
 
 
 # Case -> (world settings, creator fractions of the runs that go before it
@@ -114,7 +103,7 @@ def test_a_replaying_world_steps_as_a_plain_one(case, run_index, tmp_path, monke
         assert world.series == plain.series
         assert [a.id for a in world.active] == [
             a.id for a in plain.active if a.id not in creators]
-        assert_interned(world)
+        assert world.holders == Counter(a.chain for a in world.agents)
     # The kernel leaves each creator's RNG and bias where its steps left
     # them, so it makes the same draws and stops where the step does.
     by_id = {a.id: a for a in computed}
@@ -279,12 +268,12 @@ def test_the_creator_kernel_invents_and_adopts_as_the_reference_kernels(regime, 
         fallbacks = 0
         for seed in range(4):
             ours, theirs = (
-                agent_ops.Agent(0, 1.0, (NEUTRAL,), scores[NEUTRAL], PinnedNet(bias),
-                                CountingRandom(seed))
+                agent_ops.Agent(0, 1.0, (CODES[NEUTRAL],), scores.by_code[CODES[NEUTRAL]],
+                                PinnedNet(bias), CountingRandom(seed))
                 for _ in range(2)
             )
             got = creator_adoptions(ours, cfg, scores.by_code, top)
-            want = plain_creator_adoptions(theirs, cfg, scores.__getitem__, top)
+            want = plain_creator_adoptions(theirs, cfg, scores.by_code.__getitem__, top)
             assert got == want
             assert ours.rng.getstate() == theirs.rng.getstate()
             assert ours.rng.fallbacks == theirs.rng.fallbacks

@@ -260,7 +260,7 @@ def reference_invent(agent, chaining_enabled, max_chain_length):
     steps = agent.chain[:-1] + (new_final,)
     if len(steps) > 1 and steps[-1] == steps[-2]:
         return agent.chain  # mutation collided with the previous step
-    if chaining_enabled and new_final in agent_ops.ACCEPTABLE_SUBACTIONS:
+    if chaining_enabled and agent_ops.ACCEPTABLE_BY_CODE[new_final]:
         steps = agent_ops.extend_chain(
             steps, max_chain_length, movement_bias, symmetry_bias, agent.rng
         )
@@ -529,17 +529,6 @@ def neutral_best_templates(tmp_path):
     return str(path)
 
 
-def assert_interned(world):
-    """Each distinct chain the agents hold is one object: ``holders`` has
-    exactly one entry per distinct chain, counting its holders by id, and
-    the intern table holds that object and no other chain."""
-    chains = [a.chain for a in world.agents]
-    assert world.holders == dict(Counter(map(id, chains)))
-    assert len(world.holders) == len(set(chains))
-    assert world.interned == {c: c for c in chains}
-    assert all(world.interned[c] is c for c in chains)
-
-
 @pytest.mark.parametrize(
     "kw",
     [
@@ -572,8 +561,27 @@ def test_active_bookkeeping_matches_the_reference_step(kw, side, tmp_path):
         assert world.active == [
             a for a in world.agents if top is None or a.fitness < top
         ]
-        assert_interned(world)
+        assert world.holders == Counter(a.chain for a in world.agents)
     assert World(cfg, 0).run() == ref.series
+
+
+def test_a_chain_can_change_hands_within_a_step():
+    # Agents adopt in id order.  Here every holder of a chain X leaves it
+    # before a later agent of the same step adopts X (imitating one of them
+    # from the snapshot), so X's count falls to 0 and X must come back.
+    world = World(small(mode=MODE_SHARED_P, lattice_side=10, iterations=60), 0)
+    handovers = 0
+    for _ in range(world.cfg.iterations):
+        before = [a.chain for a in world.agents]
+        world.step()
+        moved = [a for a in world.agents if a.chain != before[a.id]]
+        for x in {before[a.id] for a in moved}:
+            leavers = [a.id for a in moved if before[a.id] == x]
+            takers = [a.id for a in moved if a.chain == x]
+            if takers and len(leavers) == before.count(x) and max(leavers) < min(takers):
+                handovers += 1
+        assert world.holders == Counter(a.chain for a in world.agents)
+    assert handovers > 0
 
 
 def test_a_template_file_is_parsed_once_per_process(tmp_path, monkeypatch):
